@@ -21,28 +21,27 @@ SparseLdlt::Status SparseLdlt::factor(const SparseMatrix& upper, Permutation per
           "SparseLdlt: permutation size mismatch");
   n_ = upper.rows();
   perm_ = std::move(perm);
-  inv_perm_ = invert_permutation(perm_);
 
-  const SparseMatrix permuted = symmetric_permute_upper(upper, perm_);
-  pattern_col_ptr_.assign(permuted.col_ptr().begin(), permuted.col_ptr().end());
-  pattern_row_idx_.assign(permuted.row_idx().begin(), permuted.row_idx().end());
+  permuted_ = symmetric_permute_upper(upper, perm_, &entry_map_);
+  input_col_ptr_.assign(upper.col_ptr().begin(), upper.col_ptr().end());
+  input_row_idx_.assign(upper.row_idx().begin(), upper.row_idx().end());
 
   // --- Symbolic: elimination tree and exact column counts of L. ---
   parent_.assign(static_cast<std::size_t>(n_), -1);
   std::vector<std::int32_t> l_nnz_per_col(static_cast<std::size_t>(n_), 0);
-  std::vector<std::int32_t> flag(static_cast<std::size_t>(n_), -1);
-  const auto col_ptr = permuted.col_ptr();
-  const auto row_idx = permuted.row_idx();
+  flag_.assign(static_cast<std::size_t>(n_), -1);
+  const auto col_ptr = permuted_.col_ptr();
+  const auto row_idx = permuted_.row_idx();
   for (std::int32_t k = 0; k < n_; ++k) {
     parent_[static_cast<std::size_t>(k)] = -1;
-    flag[static_cast<std::size_t>(k)] = k;
+    flag_[static_cast<std::size_t>(k)] = k;
     for (std::int32_t p = col_ptr[k]; p < col_ptr[k + 1]; ++p) {
       std::int32_t i = row_idx[p];
       // Upper-triangular input guarantees i <= k.
-      while (flag[static_cast<std::size_t>(i)] != k) {
+      while (flag_[static_cast<std::size_t>(i)] != k) {
         if (parent_[static_cast<std::size_t>(i)] == -1) parent_[static_cast<std::size_t>(i)] = k;
         ++l_nnz_per_col[static_cast<std::size_t>(i)];  // L(k, i) exists
-        flag[static_cast<std::size_t>(i)] = k;
+        flag_[static_cast<std::size_t>(i)] = k;
         i = parent_[static_cast<std::size_t>(i)];
       }
     }
@@ -52,75 +51,82 @@ SparseLdlt::Status SparseLdlt::factor(const SparseMatrix& upper, Permutation per
     l_col_ptr_[static_cast<std::size_t>(c) + 1] =
         l_col_ptr_[static_cast<std::size_t>(c)] + l_nnz_per_col[static_cast<std::size_t>(c)];
   }
+  l_next_.resize(static_cast<std::size_t>(n_));
+  pattern_.resize(static_cast<std::size_t>(n_));
 
-  return numeric_factor(permuted);
+  return numeric_factor();
 }
 
 SparseLdlt::Status SparseLdlt::refactor(const SparseMatrix& upper) {
   if (l_col_ptr_.empty()) return Status::kNotFactored;
   require(upper.rows() == n_ && upper.cols() == n_, "SparseLdlt::refactor: shape mismatch");
-  const SparseMatrix permuted = symmetric_permute_upper(upper, perm_);
   // The symbolic analysis is only valid for the exact pattern it was run on;
   // a changed pattern would silently corrupt L, so it is rejected here (the
   // previous factorization stays usable).
-  const auto col_ptr = permuted.col_ptr();
-  const auto row_idx = permuted.row_idx();
-  if (!std::equal(col_ptr.begin(), col_ptr.end(), pattern_col_ptr_.begin(),
-                  pattern_col_ptr_.end()) ||
-      !std::equal(row_idx.begin(), row_idx.end(), pattern_row_idx_.begin(),
-                  pattern_row_idx_.end())) {
+  const auto col_ptr = upper.col_ptr();
+  const auto row_idx = upper.row_idx();
+  if (!std::equal(col_ptr.begin(), col_ptr.end(), input_col_ptr_.begin(),
+                  input_col_ptr_.end()) ||
+      !std::equal(row_idx.begin(), row_idx.end(), input_row_idx_.begin(),
+                  input_row_idx_.end())) {
     return Status::kPatternMismatch;
   }
-  return numeric_factor(permuted);
+  const auto values = upper.values();
+  const std::span<double> permuted_values = permuted_.mutable_values();
+  for (std::size_t p = 0; p < values.size(); ++p) {
+    permuted_values[static_cast<std::size_t>(entry_map_[p])] = values[p];
+  }
+  return numeric_factor();
 }
 
-SparseLdlt::Status SparseLdlt::numeric_factor(const SparseMatrix& permuted_upper) {
-  const auto col_ptr = permuted_upper.col_ptr();
-  const auto row_idx = permuted_upper.row_idx();
-  const auto values = permuted_upper.values();
+SparseLdlt::Status SparseLdlt::numeric_factor() {
+  const auto col_ptr = permuted_.col_ptr();
+  const auto row_idx = permuted_.row_idx();
+  const auto values = permuted_.values();
 
+  // Same sizes on every call for one pattern, so none of these reallocate.
   l_row_idx_.assign(static_cast<std::size_t>(l_col_ptr_.back()), 0);
   l_values_.assign(static_cast<std::size_t>(l_col_ptr_.back()), 0.0);
   d_.assign(static_cast<std::size_t>(n_), 0.0);
-
-  std::vector<std::int32_t> l_next(l_col_ptr_.begin(), l_col_ptr_.end() - 1);
-  std::vector<std::int32_t> flag(static_cast<std::size_t>(n_), -1);
-  std::vector<std::int32_t> pattern(static_cast<std::size_t>(n_), 0);
-  Vector work(static_cast<std::size_t>(n_), 0.0);
+  std::copy(l_col_ptr_.begin(), l_col_ptr_.end() - 1, l_next_.begin());
+  flag_.assign(static_cast<std::size_t>(n_), -1);
+  work_.assign(static_cast<std::size_t>(n_), 0.0);
 
   for (std::int32_t k = 0; k < n_; ++k) {
     // Scatter column k of the (permuted) upper triangle into the workspace
     // and compute the nonzero pattern of row k of L via etree paths.
     std::int32_t top = n_;
-    flag[static_cast<std::size_t>(k)] = k;
+    flag_[static_cast<std::size_t>(k)] = k;
     for (std::int32_t p = col_ptr[k]; p < col_ptr[k + 1]; ++p) {
       std::int32_t i = row_idx[p];
-      work[static_cast<std::size_t>(i)] += values[p];
+      work_[static_cast<std::size_t>(i)] += values[p];
       std::int32_t len = 0;
-      while (flag[static_cast<std::size_t>(i)] != k) {
-        pattern[static_cast<std::size_t>(len++)] = i;
-        flag[static_cast<std::size_t>(i)] = k;
+      while (flag_[static_cast<std::size_t>(i)] != k) {
+        pattern_[static_cast<std::size_t>(len++)] = i;
+        flag_[static_cast<std::size_t>(i)] = k;
         i = parent_[static_cast<std::size_t>(i)];
       }
-      while (len > 0) pattern[static_cast<std::size_t>(--top)] = pattern[static_cast<std::size_t>(--len)];
+      while (len > 0) {
+        pattern_[static_cast<std::size_t>(--top)] = pattern_[static_cast<std::size_t>(--len)];
+      }
     }
 
-    double dk = work[static_cast<std::size_t>(k)];
-    work[static_cast<std::size_t>(k)] = 0.0;
+    double dk = work_[static_cast<std::size_t>(k)];
+    work_[static_cast<std::size_t>(k)] = 0.0;
 
     // Up-looking sparse triangular solve over the pattern (in etree order).
     for (; top < n_; ++top) {
-      const std::int32_t i = pattern[static_cast<std::size_t>(top)];
-      const double yi = work[static_cast<std::size_t>(i)];
-      work[static_cast<std::size_t>(i)] = 0.0;
+      const std::int32_t i = pattern_[static_cast<std::size_t>(top)];
+      const double yi = work_[static_cast<std::size_t>(i)];
+      work_[static_cast<std::size_t>(i)] = 0.0;
       for (std::int32_t p = l_col_ptr_[static_cast<std::size_t>(i)];
-           p < l_next[static_cast<std::size_t>(i)]; ++p) {
-        work[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])] -=
+           p < l_next_[static_cast<std::size_t>(i)]; ++p) {
+        work_[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])] -=
             l_values_[static_cast<std::size_t>(p)] * yi;
       }
       const double lki = yi / d_[static_cast<std::size_t>(i)];
       dk -= lki * yi;
-      const auto slot = static_cast<std::size_t>(l_next[static_cast<std::size_t>(i)]++);
+      const auto slot = static_cast<std::size_t>(l_next_[static_cast<std::size_t>(i)]++);
       l_row_idx_[slot] = k;
       l_values_[slot] = lki;
     }

@@ -30,11 +30,14 @@ class SparseLdlt {
   Status factor(const SparseMatrix& upper, Permutation perm);
 
   /// Re-factors a matrix with the SAME sparsity pattern as the previous
-  /// successful factor() call, reusing the symbolic analysis (elimination
-  /// tree, column counts, ordering). The pattern (col_ptr/row_idx of the
-  /// permuted upper triangle) is CHECKED against the one that was factored;
-  /// a changed pattern returns kPatternMismatch and leaves the previous
-  /// factorization intact — callers must fall back to a fresh factor().
+  /// factor() call, reusing the symbolic analysis (elimination tree, column
+  /// counts, ordering) and the permutation map factor() recorded. The input
+  /// pattern (col_ptr/row_idx of the upper triangle) is CHECKED against the
+  /// one that was factored; a changed pattern returns kPatternMismatch and
+  /// leaves the previous factorization intact — callers must fall back to a
+  /// fresh factor(). The values are copied through the map into the kept
+  /// permuted matrix and the numeric pass runs in kept scratch, so refactor()
+  /// performs no heap allocation.
   Status refactor(const SparseMatrix& upper);
 
   /// Solves A x = b in place; requires a successful factor(). Uses a
@@ -55,22 +58,29 @@ class SparseLdlt {
   std::span<const double> d() const { return d_; }
 
  private:
-  Status numeric_factor(const SparseMatrix& permuted_upper);
+  Status numeric_factor();
 
   std::int32_t n_ = 0;
   Permutation perm_;
-  Permutation inv_perm_;
   // Symbolic data.
   std::vector<std::int32_t> parent_;
   std::vector<std::int32_t> l_col_ptr_;
-  // Pattern of the permuted upper triangle the symbolic analysis was run
-  // on; refactor() validates against it.
-  std::vector<std::int32_t> pattern_col_ptr_;
-  std::vector<std::int32_t> pattern_row_idx_;
+  // Pattern of the input upper triangle the symbolic analysis was run on
+  // (refactor() validates against it), the permuted upper triangle the
+  // numeric pass reads, and where each input entry lands in it.
+  std::vector<std::int32_t> input_col_ptr_;
+  std::vector<std::int32_t> input_row_idx_;
+  SparseMatrix permuted_;
+  std::vector<std::int32_t> entry_map_;
   // Numeric data.
   std::vector<std::int32_t> l_row_idx_;
   std::vector<double> l_values_;
   Vector d_;
+  // Numeric-pass scratch, sized once per pattern by factor().
+  std::vector<std::int32_t> l_next_;
+  std::vector<std::int32_t> flag_;
+  std::vector<std::int32_t> pattern_;
+  Vector work_;
   mutable Vector solve_scratch_;  // permuted RHS; reused across solves
   Status status_ = Status::kNotFactored;
 };

@@ -2,7 +2,8 @@
 //
 // This is the workhorse representation for the QP constraint matrices and
 // the quasi-definite KKT systems factored by SparseLdlt. Construction is via
-// triplets (duplicates are summed, as in every mainstream sparse toolkit).
+// triplets (duplicates are summed, as in every mainstream sparse toolkit) or
+// from already-sorted CSC arrays.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,13 @@ class SparseMatrix {
     return from_triplets(rows, cols,
                          std::span<const Triplet>(triplets.begin(), triplets.size()));
   }
+
+  /// Adopts ready-made CSC arrays (checked: col_ptr has cols+1 non-decreasing
+  /// offsets from 0 to nnz, row indices are in range and strictly increasing
+  /// within each column). For builders that already produce sorted columns.
+  static SparseMatrix from_csc(std::int32_t rows, std::int32_t cols,
+                               std::vector<std::int32_t> col_ptr,
+                               std::vector<std::int32_t> row_idx, std::vector<double> values);
 
   /// n x n identity scaled by `value`.
   static SparseMatrix identity(std::int32_t n, double value = 1.0);

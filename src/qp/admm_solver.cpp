@@ -441,7 +441,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   // --- Hot loop. Everything below reads/writes the workspace through the
   // fused kernels in linalg/vector_ops; after the sizing solve the loop
   // performs no heap allocation (tracked by the alloc probe, with the
-  // unavoidable refactor/trace segments excluded and reported separately).
+  // trace/recorder segments excluded and reported separately).
   const std::span<double> rhs_x(ws.rhs.data(), n);
   const std::span<const double> rhs_nu(ws.rhs.data() + n, m);
   auto& registry = obs::Registry::global();
@@ -641,12 +641,9 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
         }
         ++cache_stats_.refactorizations;
         ++result.info.factorizations;
-        // The numeric refactorization allocates internally (permuted copy);
-        // it is a factorization cost, not an iteration cost — excluded.
-        const long long refactor_allocs_before = gp::alloc_probe_count();
-        const SparseLdlt::Status refactor_status = kkt.refactor(kkt_upper_);
-        excluded_allocs += gp::alloc_probe_count() - refactor_allocs_before;
-        if (refactor_status != SparseLdlt::Status::kOk) {
+        // Same pattern: the refactorization copies values through the
+        // factor's permutation map into kept scratch, allocation-free.
+        if (kkt.refactor(kkt_upper_) != SparseLdlt::Status::kOk) {
           result.status = SolveStatus::kNumericalError;
           break;
         }

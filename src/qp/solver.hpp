@@ -38,7 +38,7 @@ struct SolveInfo {
   bool factorization_skipped = false;  ///< cached factor reused outright
   long long hot_loop_allocations = 0;  ///< heap allocations observed inside the
                                        ///< ADMM iteration loop (alloc probe
-                                       ///< delta minus excluded refactor/trace
+                                       ///< delta minus excluded trace/recorder
                                        ///< segments; stays 0 unless the binary
                                        ///< installs the gp::alloc_probe hook)
   long long residual_spmv_ns = 0;      ///< wall ns spent in the residual /

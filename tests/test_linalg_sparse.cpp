@@ -3,14 +3,21 @@
 // the exact shape the ADMM solver factors).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dspp/window_program.hpp"
 #include "linalg/dense_factor.hpp"
 #include "linalg/ordering.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "scenario/policy.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 
 namespace gp::linalg {
 namespace {
@@ -33,6 +40,112 @@ SparseMatrix random_kkt_upper(std::int32_t n, std::int32_t m, Rng& rng, double d
     for (std::int32_t c = 0; c < n; ++c)
       if (rng.uniform() < density) triplets.push_back({c, n + r, rng.uniform(-1.0, 1.0)});
   return SparseMatrix::from_triplets(n + m, n + m, triplets);
+}
+
+/// The original greedy minimum degree, kept verbatim as the oracle for the
+/// heap-driven one: at every step it scans ALL live vertices for the
+/// smallest exact elimination-graph degree (ties to the smallest index), so
+/// it is O(n^2) — fine at test sizes, and obviously correct.
+Permutation scan_minimum_degree_oracle(const SparseMatrix& a) {
+  const std::int32_t n = a.rows();
+  std::vector<std::vector<std::int32_t>> adj(static_cast<std::size_t>(n));
+  const auto col_ptr = a.col_ptr();
+  const auto row_idx = a.row_idx();
+  for (std::int32_t c = 0; c < n; ++c) {
+    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+      const std::int32_t r = row_idx[p];
+      if (r == c) continue;
+      adj[static_cast<std::size_t>(r)].push_back(c);
+      adj[static_cast<std::size_t>(c)].push_back(r);
+    }
+  }
+  for (auto& neighbours : adj) {
+    std::sort(neighbours.begin(), neighbours.end());
+    neighbours.erase(std::unique(neighbours.begin(), neighbours.end()), neighbours.end());
+  }
+  std::vector<bool> eliminated(static_cast<std::size_t>(n), false);
+  Permutation perm;
+  std::vector<std::int32_t> degree(static_cast<std::size_t>(n));
+  for (std::int32_t v = 0; v < n; ++v) {
+    degree[static_cast<std::size_t>(v)] =
+        static_cast<std::int32_t>(adj[static_cast<std::size_t>(v)].size());
+  }
+  auto prune = [&](std::vector<std::int32_t>& neighbours) {
+    neighbours.erase(std::remove_if(neighbours.begin(), neighbours.end(),
+                                    [&](std::int32_t v) {
+                                      return eliminated[static_cast<std::size_t>(v)];
+                                    }),
+                     neighbours.end());
+  };
+  for (std::int32_t step = 0; step < n; ++step) {
+    std::int32_t best = -1;
+    std::int32_t best_degree = n + 1;
+    for (std::int32_t v = 0; v < n; ++v) {
+      if (eliminated[static_cast<std::size_t>(v)]) continue;
+      if (degree[static_cast<std::size_t>(v)] < best_degree) {
+        best = v;
+        best_degree = degree[static_cast<std::size_t>(v)];
+      }
+    }
+    auto& neighbours = adj[static_cast<std::size_t>(best)];
+    prune(neighbours);
+    eliminated[static_cast<std::size_t>(best)] = true;
+    perm.push_back(best);
+    for (std::int32_t u : neighbours) {
+      auto& list = adj[static_cast<std::size_t>(u)];
+      prune(list);
+      std::vector<std::int32_t> merged;
+      std::merge(list.begin(), list.end(), neighbours.begin(), neighbours.end(),
+                 std::back_inserter(merged));
+      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+      merged.erase(std::remove(merged.begin(), merged.end(), u), merged.end());
+      list = std::move(merged);
+      degree[static_cast<std::size_t>(u)] = static_cast<std::int32_t>(list.size());
+    }
+    neighbours.clear();
+  }
+  return perm;
+}
+
+/// Upper triangle of the ADMM KKT [[P + I, A^T], [A, -I]] for a QP (the
+/// solver's layout; the values are placeholders, only the pattern matters
+/// to the ordering).
+SparseMatrix qp_kkt_upper(const SparseMatrix& p, const SparseMatrix& a) {
+  const std::int32_t n = p.rows();
+  const std::int32_t m = a.rows();
+  std::vector<Triplet> triplets;
+  for (std::int32_t c = 0; c < n; ++c) {
+    triplets.push_back({c, c, 1.0});
+    for (std::int32_t idx = p.col_ptr()[c]; idx < p.col_ptr()[c + 1]; ++idx) {
+      if (p.row_idx()[idx] <= c) triplets.push_back({p.row_idx()[idx], c, p.values()[idx]});
+    }
+    for (std::int32_t idx = a.col_ptr()[c]; idx < a.col_ptr()[c + 1]; ++idx) {
+      triplets.push_back({c, n + a.row_idx()[idx], a.values()[idx]});
+    }
+  }
+  for (std::int32_t i = 0; i < m; ++i) triplets.push_back({n + i, n + i, -1.0});
+  return SparseMatrix::from_triplets(n + m, n + m, triplets);
+}
+
+/// Upper triangle of a 2-D grid Laplacian-like SPD matrix (rows x cols
+/// vertices, 4-neighbour stencil): every interior vertex ties at degree 4.
+SparseMatrix grid_upper(std::int32_t rows, std::int32_t cols) {
+  std::vector<Triplet> triplets;
+  for (std::int32_t r = 0; r < rows; ++r) {
+    for (std::int32_t c = 0; c < cols; ++c) {
+      const std::int32_t v = r * cols + c;
+      triplets.push_back({v, v, 4.0});
+      if (c + 1 < cols) triplets.push_back({v, v + 1, -1.0});
+      if (r + 1 < rows) triplets.push_back({v, v + cols, -1.0});
+    }
+  }
+  return SparseMatrix::from_triplets(rows * cols, rows * cols, triplets);
+}
+
+/// Bitwise (0 ULP) equality of two vectors.
+bool bits_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Expands an upper triangle to the full symmetric dense matrix.
@@ -188,6 +301,102 @@ TEST(Ordering, ArrowheadMatrixOrdersHubLast) {
   EXPECT_EQ(ldlt.l_nnz(), n - 1);
 }
 
+TEST(Ordering, MinimumDegreeMatchesScanOracleOnRandomKkt) {
+  const std::pair<int, int> shapes[] = {{1, 1}, {5, 3}, {10, 6}, {40, 25}, {80, 60}, {150, 100}};
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    for (const auto& [n, m] : shapes) {
+      for (double density : {0.02, 0.1, 0.3}) {
+        Rng rng(seed * 1000 + static_cast<std::uint64_t>(n));
+        const auto upper = random_kkt_upper(n, m, rng, density);
+        EXPECT_EQ(minimum_degree_ordering(upper), scan_minimum_degree_oracle(upper))
+            << "seed " << seed << " n " << n << " m " << m << " density " << density;
+      }
+    }
+  }
+}
+
+TEST(Ordering, MinimumDegreeMatchesScanOracleOnTieHeavyGraphs) {
+  // Arrowhead (hub 0 and n-1 degree-1 leaves), a path and grids: most
+  // steps are degree ties, so these pin the smallest-index tie-break.
+  for (std::int32_t n : {2, 3, 12, 200}) {
+    std::vector<Triplet> arrow;
+    std::vector<Triplet> path;
+    for (std::int32_t i = 0; i < n; ++i) {
+      arrow.push_back({i, i, 4.0});
+      path.push_back({i, i, 2.0});
+      if (i > 0) arrow.push_back({0, i, 1.0});
+      if (i + 1 < n) path.push_back({i, i + 1, -1.0});
+    }
+    const auto arrow_upper = SparseMatrix::from_triplets(n, n, arrow);
+    const auto path_upper = SparseMatrix::from_triplets(n, n, path);
+    EXPECT_EQ(minimum_degree_ordering(arrow_upper), scan_minimum_degree_oracle(arrow_upper))
+        << "arrowhead n " << n;
+    EXPECT_EQ(minimum_degree_ordering(path_upper), scan_minimum_degree_oracle(path_upper))
+        << "path n " << n;
+  }
+  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{3, 3}, std::pair{7, 5},
+                                   std::pair{20, 20}}) {
+    const auto upper = grid_upper(rows, cols);
+    EXPECT_EQ(minimum_degree_ordering(upper), scan_minimum_degree_oracle(upper))
+        << "grid " << rows << "x" << cols;
+  }
+  EXPECT_TRUE(
+      minimum_degree_ordering(SparseMatrix::from_triplets(0, 0, std::vector<Triplet>{})).empty());
+}
+
+TEST(Ordering, MinimumDegreeMatchesScanOracleOnPaperWindowKkt) {
+  // The window QP the MPC controller factors on the Section VII setup
+  // (4 DCs x 24 cities, W = 5).
+  const auto spec = scenario::preset("paper_full");
+  const auto bundle = scenario::build(spec);
+  const dspp::PairIndex pairs(bundle.model);
+  const std::size_t horizon = 5;
+  const auto demand = scenario::mean_demand_trace(bundle, spec);
+  const auto price = scenario::price_trace(bundle, spec);
+  dspp::WindowInputs inputs;
+  inputs.initial_state.assign(pairs.num_pairs(), 0.0);
+  inputs.demand.assign(demand.begin(), demand.begin() + horizon);
+  inputs.price.assign(price.begin(), price.begin() + horizon);
+  const dspp::WindowProgram program(bundle.model, pairs, std::move(inputs));
+  const auto upper = qp_kkt_upper(program.problem().p, program.problem().a);
+  ASSERT_GT(upper.rows(), 500);
+  EXPECT_EQ(minimum_degree_ordering(upper), scan_minimum_degree_oracle(upper));
+}
+
+TEST(Ordering, SymmetricPermuteUpperEntryMapLocatesEveryEntry) {
+  Rng rng(19);
+  const auto upper = random_kkt_upper(20, 12, rng);
+  const Permutation perm = minimum_degree_ordering(upper);
+  std::vector<std::int32_t> map;
+  const auto permuted = symmetric_permute_upper(upper, perm, &map);
+  ASSERT_EQ(map.size(), static_cast<std::size_t>(upper.nnz()));
+  ASSERT_EQ(permuted.nnz(), upper.nnz());
+  const auto inv = invert_permutation(perm);
+  std::vector<bool> hit(map.size(), false);
+  for (std::int32_t c = 0; c < upper.cols(); ++c) {
+    for (std::int32_t p = upper.col_ptr()[c]; p < upper.col_ptr()[c + 1]; ++p) {
+      const auto slot = static_cast<std::size_t>(map[static_cast<std::size_t>(p)]);
+      ASSERT_LT(slot, map.size());
+      EXPECT_FALSE(hit[slot]);
+      hit[slot] = true;
+      EXPECT_EQ(permuted.values()[slot], upper.values()[p]);
+      const std::int32_t r = upper.row_idx()[p];
+      EXPECT_EQ(permuted.row_idx()[slot],
+                std::min(inv[static_cast<std::size_t>(r)], inv[static_cast<std::size_t>(c)]));
+    }
+  }
+}
+
+TEST(SparseMatrix, FromCscRejectsMalformedArrays) {
+  EXPECT_EQ(SparseMatrix::from_csc(2, 2, {0, 1, 2}, {0, 1}, {1.0, 2.0}).nnz(), 2);
+  // Unsorted rows within a column.
+  EXPECT_THROW(SparseMatrix::from_csc(2, 1, {0, 2}, {1, 0}, {1.0, 2.0}), PreconditionError);
+  // Row out of range, nnz disagreement, short col_ptr.
+  EXPECT_THROW(SparseMatrix::from_csc(2, 1, {0, 1}, {2}, {1.0}), PreconditionError);
+  EXPECT_THROW(SparseMatrix::from_csc(2, 1, {0, 2}, {0}, {1.0}), PreconditionError);
+  EXPECT_THROW(SparseMatrix::from_csc(2, 2, {0, 1}, {0}, {1.0}), PreconditionError);
+}
+
 TEST(Ordering, SymmetricPermuteUpperPreservesMatrix) {
   Rng rng(9);
   const auto upper = random_kkt_upper(6, 4, rng);
@@ -259,6 +468,50 @@ TEST(SparseLdlt, RefactorWithSamePatternMatchesFreshFactor) {
   const Vector x = ldlt.solve(b);
   const Vector ax = full_from_upper(upper).multiply(x);
   for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
+}
+
+TEST(SparseLdlt, RefactorIsBitwiseEqualToFreshFactor) {
+  for (std::uint64_t seed : {21u, 22u, 23u}) {
+    Rng rng(seed);
+    auto upper = random_kkt_upper(40, 25, rng, 0.1);
+    const Permutation perm = minimum_degree_ordering(upper);
+    SparseLdlt reused;
+    ASSERT_EQ(reused.factor(upper, perm), SparseLdlt::Status::kOk);
+    for (double& v : upper.mutable_values()) v *= rng.uniform(0.5, 2.0);
+    ASSERT_EQ(reused.refactor(upper), SparseLdlt::Status::kOk);
+    SparseLdlt fresh;
+    ASSERT_EQ(fresh.factor(upper, perm), SparseLdlt::Status::kOk);
+    EXPECT_EQ(reused.l_nnz(), fresh.l_nnz());
+    EXPECT_TRUE(bits_equal(reused.d(), fresh.d())) << "seed " << seed;
+    Vector b(65);
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    EXPECT_TRUE(bits_equal(reused.solve(b), fresh.solve(b))) << "seed " << seed;
+  }
+}
+
+TEST(SparseLdlt, RefactorRejectsChangedPatternAndKeepsOldFactor) {
+  Rng rng(24);
+  const auto upper = random_kkt_upper(12, 8, rng);
+  SparseLdlt ldlt;
+  ASSERT_EQ(ldlt.factor(upper), SparseLdlt::Status::kOk);
+  Vector b(20);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  const Vector before = ldlt.solve(b);
+
+  // Same size, one extra off-diagonal entry (0, 19) that was structurally
+  // zero: the numeric pass must not run on it.
+  ASSERT_EQ(upper.coefficient(0, 19), 0.0);
+  std::vector<Triplet> triplets;
+  for (std::int32_t c = 0; c < upper.cols(); ++c) {
+    for (std::int32_t p = upper.col_ptr()[c]; p < upper.col_ptr()[c + 1]; ++p) {
+      triplets.push_back({upper.row_idx()[p], c, 2.0 * upper.values()[p]});
+    }
+  }
+  triplets.push_back({0, 19, 0.5});
+  const auto changed = SparseMatrix::from_triplets(20, 20, triplets);
+  EXPECT_EQ(ldlt.refactor(changed), SparseLdlt::Status::kPatternMismatch);
+  ASSERT_EQ(ldlt.status(), SparseLdlt::Status::kOk);
+  EXPECT_TRUE(bits_equal(ldlt.solve(b), before));
 }
 
 TEST(SparseLdlt, DetectsZeroPivot) {

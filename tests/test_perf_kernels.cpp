@@ -25,6 +25,7 @@
 #include "common/alloc_probe.hpp"
 #include "common/rng.hpp"
 #include "linalg/simd_dispatch.hpp"
+#include "linalg/sparse_ldlt.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/sparse_simd.hpp"
 #include "linalg/vector_ops.hpp"
@@ -86,7 +87,11 @@ Vector random_with_zeros(std::size_t size, Rng& rng) {
 /// -0.0 and is therefore too weak for the determinism contract.
 void expect_bits_equal(const Vector& a, const Vector& b) {
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  // memcmp's pointers must be valid even for a zero length; an empty
+  // vector's data() may be null, and two empty vectors are trivially equal.
+  if (a.size() > 0) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  }
 }
 
 void expect_bits_equal(double a, double b) {
@@ -368,6 +373,51 @@ TEST(AdmmHotLoop, WorkspaceReuseAcrossShrinkingProblemsStaysAllocationFree) {
   const auto result = solver.solve(small);
   ASSERT_EQ(result.status, qp::SolveStatus::kOptimal);
   EXPECT_EQ(result.info.hot_loop_allocations, 0);
+}
+
+TEST(AdmmHotLoop, AdaptiveRhoRefactorIsAllocationFree) {
+  // A hair-trigger rho tolerance and tight tolerances make every adaptive
+  // check rewrite rho and refactor the KKT inside the iteration loop; the
+  // refactor reuses the factor's permutation map and scratch, so the loop
+  // still makes zero heap allocations (nothing is excluded for it).
+  Rng rng(97);
+  qp::QpProblem problem = random_feasible_qp(60, 45, rng);
+  qp::AdmmSettings settings;
+  settings.adaptive_rho_interval = 25;
+  settings.adaptive_rho_tolerance = 1.0 + 1e-9;
+  settings.eps_abs = 1e-9;
+  settings.eps_rel = 1e-9;
+  settings.max_iterations = 400;
+  qp::AdmmSolver solver(settings);
+  ASSERT_NE(solver.solve(problem).status, qp::SolveStatus::kNumericalError);
+  ASSERT_GT(alloc_probe_count(), 0);
+
+  for (double& v : problem.q) v += 0.25;
+  const auto adapted = solver.solve(problem);
+  ASSERT_NE(adapted.status, qp::SolveStatus::kNumericalError);
+  EXPECT_GE(adapted.info.factorizations, 2) << "no in-loop rho refactor happened";
+  EXPECT_EQ(adapted.info.hot_loop_allocations, 0)
+      << "adaptive-rho refactorization allocated inside the ADMM loop";
+}
+
+TEST(AdmmHotLoop, SparseLdltRefactorMakesZeroHeapAllocations) {
+  Rng rng(98);
+  const qp::QpProblem problem = random_feasible_qp(60, 45, rng);
+  std::vector<Triplet> triplets;
+  for (std::int32_t c = 0; c < 60; ++c) {
+    triplets.push_back({c, c, problem.p.coefficient(c, c)});
+    for (std::int32_t p = problem.a.col_ptr()[c]; p < problem.a.col_ptr()[c + 1]; ++p) {
+      triplets.push_back({c, 60 + problem.a.row_idx()[p], problem.a.values()[p]});
+    }
+  }
+  for (std::int32_t i = 0; i < 45; ++i) triplets.push_back({60 + i, 60 + i, -10.0});
+  SparseMatrix upper = SparseMatrix::from_triplets(105, 105, triplets);
+  linalg::SparseLdlt ldlt;
+  ASSERT_EQ(ldlt.factor(upper), linalg::SparseLdlt::Status::kOk);
+  for (double& v : upper.mutable_values()) v *= 1.5;
+  const long long before = alloc_probe_count();
+  ASSERT_EQ(ldlt.refactor(upper), linalg::SparseLdlt::Status::kOk);
+  EXPECT_EQ(alloc_probe_count() - before, 0);
 }
 
 // ------------------------------------------------- cross-tier SIMD contract
