@@ -12,15 +12,8 @@ namespace gp::obs::audit {
 
 namespace {
 
-bool audit_env() {
-  const char* raw = std::getenv("GEOPLACE_AUDIT");
-  if (raw == nullptr) return false;
-  const std::string value(raw);
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{audit_env()};
+  static std::atomic<bool> flag{parse_env_switch(std::getenv("GEOPLACE_AUDIT")).on};
   return flag;
 }
 

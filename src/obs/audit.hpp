@@ -11,8 +11,8 @@
 //
 // Off by default (audits cost real work at call sites, e.g. re-checking
 // constraint violations of a returned QP solution): call sites gate on
-// audit::enabled(), initialized from GEOPLACE_AUDIT (same on/off grammar as
-// GEOPLACE_METRICS, no path form) or set_enabled().
+// audit::enabled(), initialized from GEOPLACE_AUDIT (obs::parse_env_switch
+// grammar; a path value just arms it) or set_enabled().
 #pragma once
 
 #include <string>

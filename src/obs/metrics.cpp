@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -35,17 +36,25 @@ void atomic_max(std::atomic<double>& target, double value) {
   }
 }
 
-/// GEOPLACE_METRICS parse (see metrics.hpp): returns {enabled, dump_path}.
-std::pair<bool, std::string> metrics_env() {
-  const char* raw = std::getenv("GEOPLACE_METRICS");
-  if (raw == nullptr) return {false, {}};
+}  // namespace
+
+// ----------------------------------------------------------------- EnvSwitch
+
+EnvSwitch parse_env_switch(const char* raw) {
+  if (raw == nullptr) return {};
   const std::string value(raw);
-  if (value.empty() || value == "0" || value == "false" || value == "off") return {false, {}};
+  if (value.empty() || value == "0" || value == "false" || value == "off") return {};
   if (value == "1" || value == "true" || value == "on") return {true, {}};
   return {true, value};
 }
 
-}  // namespace
+std::string env_switch_path(const char* name) {
+  EnvSwitch value = parse_env_switch(std::getenv(name));
+  if (value.on && value.path.empty()) {
+    std::fprintf(stderr, "geoplace: %s needs a file path; it stays off\n", name);
+  }
+  return std::move(value.path);
+}
 
 // ----------------------------------------------------------- LogBucketLayout
 
@@ -166,9 +175,9 @@ void Histogram::reset() {
 Registry& Registry::global() {
   static Registry instance;
   static const bool initialized = [] {
-    const auto [enabled, path] = metrics_env();
-    instance.set_enabled(enabled);
-    instance.dump_path_ = path;
+    EnvSwitch value = parse_env_switch(std::getenv("GEOPLACE_METRICS"));
+    instance.set_enabled(value.on);
+    instance.dump_path_ = std::move(value.path);
     return true;
   }();
   (void)initialized;

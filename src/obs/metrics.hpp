@@ -23,9 +23,9 @@
 //     the trace (tools/trace_report); the registry answers "what order of
 //     magnitude, live, for free".
 //
-// GEOPLACE_METRICS values: unset/"0"/"false"/"off" — disabled;
-// "1"/"true"/"on" — enabled; any other value — enabled AND the registry is
-// dumped as JSONL to that path at process exit.
+// GEOPLACE_METRICS follows the switch grammar of parse_env_switch below:
+// off; on; or on AND the registry is dumped as JSONL to the given path at
+// process exit.
 #pragma once
 
 #include <atomic>
@@ -40,6 +40,21 @@
 #include <vector>
 
 namespace gp::obs {
+
+/// One GEOPLACE_* observability switch, parsed. All seven switches
+/// (METRICS, TIMELINE, RECORD, AUDIT, PROGRESS, TRACE, PROFILE) share this
+/// grammar: unset, "", "0", "false" or "off" — off; "1", "true" or "on" —
+/// on, with no path; any other value — on, with that value as the path.
+struct EnvSwitch {
+  bool on = false;
+  std::string path;
+};
+EnvSwitch parse_env_switch(const char* raw);
+
+/// For the switches that only write a file (GEOPLACE_TRACE,
+/// GEOPLACE_PROFILE): the path, or "" when off. A bare on-word names no
+/// file, so the switch stays off and one stderr line says it needs a path.
+std::string env_switch_path(const char* name);
 
 /// Monotonically increasing event count. add() is a relaxed atomic
 /// fetch-add: safe from any thread, never blocks.

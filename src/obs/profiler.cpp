@@ -64,8 +64,7 @@ bool SpanStack::snapshot(const char** frames, std::uint32_t& depth) const noexce
 
 ProfileEnvSpec parse_profile_env(const char* raw) {
   ProfileEnvSpec spec;
-  if (raw == nullptr || raw[0] == '\0') return spec;
-  std::string value(raw);
+  std::string value = parse_env_switch(raw).path;
   // A trailing ":<number>" is the sampling rate; a colon followed by
   // anything non-numeric (e.g. a Windows drive or an odd filename) stays
   // part of the path.
@@ -92,7 +91,7 @@ Profiler& Profiler::global() {
   Registry::global();
   static Profiler instance;
   static const bool initialized = [] {
-    const ProfileEnvSpec spec = parse_profile_env(std::getenv("GEOPLACE_PROFILE"));
+    const ProfileEnvSpec spec = parse_profile_env(env_switch_path("GEOPLACE_PROFILE").c_str());
     if (spec.enabled) instance.start(spec.path, spec.hz);
     return true;
   }();

@@ -172,9 +172,10 @@ class Profiler {
   std::atomic<std::uint64_t> torn_{0};
 };
 
-/// GEOPLACE_PROFILE grammar: "<path>[:hz]" — a trailing ":<number>" (> 0)
-/// is the sampling rate, anything else is part of the path. Exposed for
-/// tests.
+/// GEOPLACE_PROFILE grammar: the parse_env_switch grammar (obs/metrics.hpp),
+/// where only a path arms the profiler, plus "<path>[:hz]" — a trailing
+/// ":<number>" (> 0) is the sampling rate, anything else is part of the
+/// path. Exposed for tests.
 struct ProfileEnvSpec {
   bool enabled = false;
   std::string path;

@@ -5,24 +5,15 @@
 #include <mutex>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"  // current_thread_id for dump attribution
 
 namespace gp::obs {
 
 namespace {
 
-/// GEOPLACE_RECORD parse, same grammar as GEOPLACE_METRICS: {enabled, path}.
-std::pair<bool, std::string> record_env() {
-  const char* raw = std::getenv("GEOPLACE_RECORD");
-  if (raw == nullptr) return {false, {}};
-  const std::string value(raw);
-  if (value.empty() || value == "0" || value == "false" || value == "off") return {false, {}};
-  if (value == "1" || value == "true" || value == "on") return {true, {}};
-  return {true, value};
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{record_env().first};
+  static std::atomic<bool> flag{parse_env_switch(std::getenv("GEOPLACE_RECORD")).on};
   return flag;
 }
 
@@ -37,7 +28,7 @@ void ConvergenceRecorder::set_enabled(bool enabled) {
 }
 
 const std::string& ConvergenceRecorder::dump_path() {
-  static const std::string path = record_env().second;
+  static const std::string path = parse_env_switch(std::getenv("GEOPLACE_RECORD")).path;
   return path;
 }
 

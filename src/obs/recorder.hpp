@@ -20,9 +20,9 @@
 //  4. Bounded memory: kDefaultCapacity samples (40 B each, ~20 KiB) per
 //     recording thread, allocated lazily on the thread's first push.
 //
-// GEOPLACE_RECORD values mirror GEOPLACE_METRICS: unset/"0"/"false"/"off" —
-// disabled; "1"/"true"/"on" — enabled; any other value — enabled AND failed
-// solves append their ring tail to that path (dump_failure).
+// GEOPLACE_RECORD follows obs::parse_env_switch (obs/metrics.hpp): off; on;
+// or on AND failed solves append their ring tail to the given path
+// (dump_failure).
 #pragma once
 
 #include <atomic>

@@ -30,10 +30,9 @@
 // ring holds exactly that run's frames — which is what SweepRunner
 // snapshots into per-cell timeline sidecars.
 //
-// GEOPLACE_TIMELINE values mirror GEOPLACE_METRICS: unset/"0"/"false"/
-// "off" — disabled; "1"/"true"/"on" — enabled (in-memory; callers snapshot
-// or write explicitly); any other value — enabled AND every engine run
-// appends its timeline to that path (flush()).
+// GEOPLACE_TIMELINE follows obs::parse_env_switch (obs/metrics.hpp): off;
+// on (in-memory; callers snapshot or write explicitly); or on AND every
+// engine run appends its timeline to the given path (flush()).
 //
 // Columnar JSONL format (the input of tools/gp_report):
 //   {"type":"manifest",...}                                  (optional head)

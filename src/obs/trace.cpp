@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "obs/export.hpp"
@@ -39,10 +38,8 @@ Tracer& Tracer::global() {
   Registry::global();
   static Tracer instance;
   static const bool initialized = [] {
-    const char* raw = std::getenv("GEOPLACE_TRACE");
-    if (raw != nullptr && raw[0] != '\0') {
-      instance.start(raw, format_from_path(raw));
-    }
+    const std::string path = env_switch_path("GEOPLACE_TRACE");
+    if (!path.empty()) instance.start(path, format_from_path(path));
     return true;
   }();
   (void)initialized;

@@ -22,7 +22,8 @@
 // used for the ADMM residual trajectories and the game's per-round cost.
 //
 // Enabling: set GEOPLACE_TRACE=<path> before the process starts (read once,
-// at first Tracer::global() use) or call start_tracing(). The buffered
+// at first Tracer::global() use; obs::env_switch_path grammar, so "0",
+// "false" and "off" leave it off) or call start_tracing(). The buffered
 // events are exported at stop_tracing() or at process exit, as Chrome
 // trace-event JSON (load in chrome://tracing or https://ui.perfetto.dev)
 // when the path ends in ".json", and as a JSONL event log otherwise (the

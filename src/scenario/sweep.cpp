@@ -64,14 +64,10 @@ std::string csv_number(double value) {
   return CsvWriter::format(value);
 }
 
-/// GEOPLACE_PROGRESS parse (on/off grammar, read once).
+/// GEOPLACE_PROGRESS, read once (obs::parse_env_switch grammar; a path
+/// value just arms it).
 bool progress_env() {
-  static const bool armed = [] {
-    const char* raw = std::getenv("GEOPLACE_PROGRESS");
-    if (raw == nullptr) return false;
-    const std::string value(raw);
-    return !(value.empty() || value == "0" || value == "false" || value == "off");
-  }();
+  static const bool armed = obs::parse_env_switch(std::getenv("GEOPLACE_PROGRESS")).on;
   return armed;
 }
 

@@ -1,10 +1,11 @@
 // Batched request-level simulation: the million-user request path.
 //
-// The legacy simulators in sim/request_sim.hpp interleave one RNG draw per
-// event with the queue recursion — correct, but the hot loop round-trips
-// through the generator for every request and buffers every response for a
-// retroactive percentile sort (O(requests) memory). This module restructures
-// the same exact recursions into a batched, sharded core:
+// This is the one deployment-level request simulator. The single-queue
+// simulators in sim/request_sim.hpp interleave one RNG draw per event with
+// the queue recursion — correct, but the hot loop round-trips through the
+// generator for every request and buffers every response for a retroactive
+// percentile sort (O(requests) memory). This module restructures the same
+// exact recursions into a batched, sharded core:
 //
 //  1. Count-first NHPP batches. Per (datacenter, access-network) pair the
 //     arrival COUNT over the period is drawn once
@@ -187,7 +188,7 @@ struct PairLatencyStats {
 };
 
 /// Aggregate of one batched simulation (the request-level counterpart of
-/// dspp::SlaReport; demand-weighted like sim::EmpiricalSlaReport).
+/// dspp::SlaReport).
 struct RequestSimReport {
   std::vector<PairLatencyStats> pairs;  ///< indexed by pair id
   std::size_t simulated_requests = 0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -401,6 +402,45 @@ TEST(ExportTest, JsonlExportAppendsRegistryAfterSpans) {
   EXPECT_NE(metric_at, std::string::npos);
   EXPECT_LT(span_at, metric_at);  // spans first, then the registry block
   Registry::reset_all();
+}
+
+TEST(EnvSwitchTest, OneGrammarForEverySwitch) {
+  struct Case {
+    const char* raw;
+    bool on;
+    const char* path;
+  };
+  const Case cases[] = {
+      {nullptr, false, ""},  {"", false, ""},     {"0", false, ""},
+      {"false", false, ""},  {"off", false, ""},  {"1", true, ""},
+      {"true", true, ""},    {"on", true, ""},    {"run.jsonl", true, "run.jsonl"},
+      {"out:dir/x", true, "out:dir/x"},
+  };
+  for (const Case& c : cases) {
+    const std::string label = c.raw == nullptr ? "<unset>" : c.raw;
+    const gp::obs::EnvSwitch parsed = gp::obs::parse_env_switch(c.raw);
+    EXPECT_EQ(parsed.on, c.on) << label;
+    EXPECT_EQ(parsed.path, c.path) << label;
+  }
+}
+
+TEST(EnvSwitchTest, PathOnlySwitchStaysOffWithoutAPath) {
+  const char* name = "GEOPLACE_TEST_PATH_SWITCH";
+  ::setenv(name, "on", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(gp::obs::env_switch_path(name), "");
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find(name), std::string::npos);
+  EXPECT_NE(warning.find("needs a file path"), std::string::npos);
+
+  ::setenv(name, "off", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(gp::obs::env_switch_path(name), "");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  ::setenv(name, "run.json", 1);
+  EXPECT_EQ(gp::obs::env_switch_path(name), "run.json");
+  ::unsetenv(name);
 }
 
 TEST(ManifestTest, CaptureCarriesProvenanceAndEscapes) {

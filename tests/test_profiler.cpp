@@ -88,6 +88,16 @@ TEST(ProfileEnv, UnsetOrEmptyDisables) {
   EXPECT_FALSE(gp::obs::parse_profile_env("").enabled);
 }
 
+TEST(ProfileEnv, OffAndBareOnWordsDisable) {
+  // The shared switch grammar: off-words are off, and a bare on-word names
+  // no file to write the profile to.
+  for (const char* raw : {"0", "false", "off", "1", "true", "on"}) {
+    const ProfileEnvSpec spec = gp::obs::parse_profile_env(raw);
+    EXPECT_FALSE(spec.enabled) << raw;
+    EXPECT_TRUE(spec.path.empty()) << raw;
+  }
+}
+
 TEST(ProfileEnv, PlainPathUsesDefaultRate) {
   const ProfileEnvSpec spec = gp::obs::parse_profile_env("run.folded");
   EXPECT_TRUE(spec.enabled);

@@ -5,18 +5,32 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "dspp/window_program.hpp"
 #include "qp/admm_solver.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/mmc.hpp"
+#include "sim/request_path.hpp"
 #include "sim/request_sim.hpp"
 
 namespace gp::sim {
 namespace {
 
 using linalg::Vector;
+
+/// Fires requests at a deployment for `duration_s` with every response
+/// measured (no warm-up skip); the base seed is the first draw of Rng(seed).
+RequestSimReport fire_requests(const dspp::DsppModel& model, const dspp::PairIndex& pairs,
+                               const Vector& allocation, const dspp::Assignment& assignment,
+                               double duration_s, std::uint64_t seed) {
+  RequestSimOptions options;
+  options.duration_s = duration_s;
+  options.warmup_fraction = 0.0;
+  options.seed = Rng(seed)();
+  return simulate_requests(model, pairs, allocation, assignment, options);
+}
 
 TEST(RequestSim, SplitMm1MatchesAnalyticMean) {
   Rng rng(1);
@@ -103,8 +117,7 @@ TEST(RequestSim, EndToEndAssignmentMeetsSlaEmpirically) {
   ASSERT_TRUE(solution.ok());
 
   const auto assignment = dspp::assign_demand(pairs, solution.x[0], {600.0, 450.0});
-  Rng rng(7);
-  const auto report = simulate_assignment(model, pairs, solution.x[0], assignment, 600.0, rng);
+  const auto report = fire_requests(model, pairs, solution.x[0], assignment, 600.0, 7);
   ASSERT_GT(report.simulated_requests, 100000u);
   // The M/M/1 sojourn is exponential, so a MEAN-based bound leaves a tail
   // mass of exp(-(mu - lambda) * budget) above it even when satisfied: with
@@ -142,8 +155,7 @@ TEST(RequestSim, PercentileSlaSizingBoundsTheTailEmpirically) {
   const auto solution = program.solve(solver);
   ASSERT_TRUE(solution.ok());
   const auto assignment = dspp::assign_demand(pairs, solution.x[0], {600.0, 450.0});
-  Rng rng(9);
-  const auto report = simulate_assignment(model, pairs, solution.x[0], assignment, 600.0, rng);
+  const auto report = fire_requests(model, pairs, solution.x[0], assignment, 600.0, 9);
   ASSERT_GT(report.simulated_requests, 50000u);
   EXPECT_LE(report.violating_fraction, 0.055);
 }
@@ -160,8 +172,7 @@ TEST(RequestSim, UnderProvisionedDeploymentViolatesEmpirically) {
   const Vector demand{300.0};
   Vector allocation{5.0};  // needs ~9
   const auto assignment = dspp::assign_demand(pairs, allocation, demand);
-  Rng rng(8);
-  const auto report = simulate_assignment(model, pairs, allocation, assignment, 300.0, rng);
+  const auto report = fire_requests(model, pairs, allocation, assignment, 300.0, 8);
   EXPECT_GT(report.violating_fraction, 0.2);
 }
 
