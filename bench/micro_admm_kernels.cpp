@@ -27,11 +27,11 @@
 //     informational — when no vector ISA is available).
 //
 // The `wall_ms` / `gb_s` keys in BENCH_admm.json are the ones
-// tools/bench_check.py gates on in pair mode, and the `*_min` keys are the
-// machine-aware floors `bench_check.py --internal` enforces; other ratios
-// and counters are informational.
+// tools/bench_check.py gates on in pair mode, and the `*_min` keys
+// (kernels.speedup_min, spmv.vector_speedup_min) are the floors
+// `bench_check.py --internal` enforces; other ratios and counters are
+// informational.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -43,6 +43,7 @@
 
 #include "common/alloc_probe.hpp"
 #include "dspp/window_program.hpp"
+#include "harness.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/sparse_simd.hpp"
 #include "linalg/vector_ops.hpp"
@@ -50,7 +51,6 @@
 #include "obs/metrics.hpp"
 #include "qp/admm_solver.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/report.hpp"
 
 // Route every heap allocation through the alloc probe so hot-loop allocation
 // counts are real measurements, not estimates. The library never installs
@@ -72,14 +72,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using gp::bench::Clock;
+using gp::bench::ms_since;
 using gp::linalg::RowMajorMirror;
 using gp::linalg::Vector;
 using gp::qp::kInfinity;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 /// The fig06-scale window program: full Section VII environment at the
 /// longest horizon family of Fig. 6 (K = 20).
@@ -405,15 +402,6 @@ int main() {
   std::vector<Vector> solves;
   for (std::uint64_t k = 0; k < 8; ++k) solves.push_back(synth_solution(n + m, 41 + k));
 
-  std::printf("# ADMM kernel micro-bench: fig06-scale window QP "
-              "(4 DCs x 24 cities, K=%zu): n=%zu m=%zu nnz(A)=%lld nnz(P)=%lld\n",
-              kHorizon, n, m, static_cast<long long>(problem.a.nnz()),
-              static_cast<long long>(problem.p.nnz()));
-  std::printf("# simd: detected %s, active %s, tiers:",
-              simd::tier_name(simd::detected_tier()), simd::tier_name(entry_tier));
-  for (simd::Tier t : tiers) std::printf(" %s", simd::tier_name(t));
-  std::printf("\n");
-
   // --- 1. Kernel A/B, best of kReps timed runs of kIters iterations, the
   //        fused path once per available SIMD tier. Reps interleave the
   //        variants so they see the same cache/frequency conditions. ---
@@ -448,21 +436,6 @@ int main() {
   }
   const KernelRun& fused = *fused_ptr;
   const double speedup = fused.wall_ms > 0.0 ? legacy.wall_ms / fused.wall_ms : 0.0;
-  const double legacy_ns = legacy.wall_ms * 1e6 / kIters;
-  const double fused_ns = fused.wall_ms * 1e6 / kIters;
-
-  gp::scenario::print_series_header("kernel path: ns/iteration, allocs/iteration",
-                                 {"path", "ns_per_iter", "allocs_per_iter"});
-  std::printf("legacy,%.0f,%.1f\n", legacy_ns,
-              static_cast<double>(legacy.loop_allocs) / kIters);
-  for (const TierAb& ab : tier_ab) {
-    std::printf("fused_%s,%.0f,%.1f\n", simd::tier_name(ab.tier),
-                ab.run.wall_ms * 1e6 / kIters,
-                static_cast<double>(ab.run.loop_allocs) / kIters);
-  }
-  std::printf("# speedup x%.2f (entry tier %s), bit_identical %s (all tiers)\n",
-              speedup, simd::tier_name(entry_tier),
-              kernels_identical ? "true" : "false");
 
   // --- 1b. dot_reassoc cross-check lane: the one reassociated (documented-
   //         tolerance) kernel, checked on every tier against the exact
@@ -484,8 +457,6 @@ int main() {
   }
   simd::set_active_tier(entry_tier);
   const bool dot_ok = dot_max_err <= dot_tolerance;
-  std::printf("# dot_reassoc cross-check: max |err| %.3g <= tol %.3g across tiers -- %s\n",
-              dot_max_err, dot_tolerance, dot_ok ? "ok" : "FAILED");
 
   // --- 2. Full solver: cold solve, then a warm structure-cache re-solve. ---
   gp::qp::AdmmSolver solver(settings);
@@ -509,15 +480,6 @@ int main() {
   const long long obs_spmv_ns = registry.counter("admm.spmv_ns").value();
   const double obs_spmv_gb_s = registry.gauge("admm.spmv_gb_s").value();
   registry.set_enabled(registry_was_enabled);
-
-  std::printf("\n# solver: cold %.3f ms (%d iters, %lld hot-loop allocs), "
-              "warm %.3f ms (%d iters, %lld hot-loop allocs, skip=%d)\n",
-              cold_ms, cold.iterations, cold.info.hot_loop_allocations, warm_ms,
-              warm.iterations, warm.info.hot_loop_allocations,
-              warm.info.factorization_skipped ? 1 : 0);
-  std::printf("# obs counters (instrumented warm solve): admm.allocs=%lld "
-              "admm.spmv_ns=%lld admm.spmv_gb_s=%.2f\n",
-              obs_allocs, obs_spmv_ns, obs_spmv_gb_s);
 
   // --- 3. SpMV bandwidth: cold CSC A^T vs the CSR mirror vs the SELL
   //        mirrors on every tier (both orientations, bitwise-checked). ---
@@ -552,12 +514,6 @@ int main() {
   }
   const double mirror_ax_ms = ms_since(t0);
 
-  std::printf("\n# spmv (%d reps): csc A^T %.3f ms (%.2f GB/s), mirror A^T %.3f ms "
-              "(%.2f GB/s), mirror Ax %.3f ms (%.2f GB/s) [guard %.3g]\n",
-              kSpmvReps, csc_at_ms, gbps(problem.a, csc_at_ms, kSpmvReps), mirror_at_ms,
-              gbps(problem.a, mirror_at_ms, kSpmvReps), mirror_ax_ms,
-              gbps(problem.a, mirror_ax_ms, kSpmvReps), guard);
-
   // SELL per tier: the layout is tier-independent, only the kernel changes.
   struct TierSpmv {
     simd::Tier tier = simd::Tier::kScalar;
@@ -584,9 +540,6 @@ int main() {
       guard += sell_n[static_cast<std::size_t>(r) % n];
     }
     row.at_ms = ms_since(t0);
-    std::printf("# spmv sell[%s]: Ax %.3f ms (%.2f GB/s), A^T %.3f ms (%.2f GB/s)\n",
-                simd::tier_name(t), row.ax_ms, gbps(problem.a, row.ax_ms, kSpmvReps),
-                row.at_ms, gbps(problem.a, row.at_ms, kSpmvReps));
     tier_spmv.push_back(row);
   }
   simd::set_active_tier(entry_tier);
@@ -607,107 +560,82 @@ int main() {
                                simd::tier_available(simd::Tier::kAvx512);
   const double vector_speedup =
       best_vector_pair_ms > 0.0 ? mirror_pair_ms / best_vector_pair_ms : 0.0;
-  const double vector_speedup_min = has_vector_tier ? 1.25 : 0.0;
-  std::printf("# spmv vector speedup x%.2f (best sell tier vs scalar mirror, "
-              "floor %.2f%s) [guard %.3g]\n",
-              vector_speedup, vector_speedup_min,
-              has_vector_tier ? "" : " = informational", guard);
+  std::printf("# spmv guard %.3g\n", guard);  // keeps the timed products live
 
-  std::FILE* json = std::fopen("BENCH_admm.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"manifest\": %s,\n",
-                 gp::obs::RunManifest::capture("micro_admm_kernels").to_json_object().c_str());
-    std::fprintf(json, "  \"problem\": {\"n\": %zu, \"m\": %zu, \"nnz_a\": %lld, "
-                 "\"nnz_p\": %lld, \"horizon\": %zu},\n",
-                 n, m, static_cast<long long>(problem.a.nnz()),
-                 static_cast<long long>(problem.p.nnz()), kHorizon);
-    std::fprintf(json, "  \"simd\": {\"detected\": \"%s\", \"active\": \"%s\"},\n",
-                 simd::tier_name(simd::detected_tier()), simd::tier_name(entry_tier));
-    std::fprintf(json, "  \"kernels\": {\n    \"iterations\": %d,\n", kIters);
-    std::fprintf(json,
-                 "    \"legacy\": {\"wall_ms\": %.3f, \"ns_per_iteration\": %.0f, "
-                 "\"allocs_per_iteration\": %.1f},\n",
-                 legacy.wall_ms, legacy_ns,
-                 static_cast<double>(legacy.loop_allocs) / kIters);
-    std::fprintf(json,
-                 "    \"fused\": {\"wall_ms\": %.3f, \"ns_per_iteration\": %.0f, "
-                 "\"allocs_per_iteration\": %.1f},\n",
-                 fused.wall_ms, fused_ns, static_cast<double>(fused.loop_allocs) / kIters);
-    std::fprintf(json, "    \"tiers\": {");
-    for (std::size_t k = 0; k < tier_ab.size(); ++k) {
-      std::fprintf(json,
-                   "%s\n      \"%s\": {\"wall_ms\": %.3f, \"ns_per_iteration\": %.0f, "
-                   "\"bit_identical\": %s}",
-                   k > 0 ? "," : "", simd::tier_name(tier_ab[k].tier),
-                   tier_ab[k].run.wall_ms, tier_ab[k].run.wall_ms * 1e6 / kIters,
-                   bit_identical(legacy, tier_ab[k].run) ? "true" : "false");
-    }
-    std::fprintf(json, "\n    },\n");
-    std::fprintf(json,
-                 "    \"dot_reassoc\": {\"max_abs_err\": %.6g, \"tolerance\": %.6g, "
-                 "\"within_tolerance\": %s},\n",
-                 dot_max_err, dot_tolerance, dot_ok ? "true" : "false");
-    std::fprintf(json, "    \"speedup\": %.3f,\n    \"bit_identical\": %s\n  },\n",
-                 speedup, kernels_identical ? "true" : "false");
-    std::fprintf(json,
-                 "  \"solver\": {\n    \"cold\": {\"wall_ms\": %.3f, \"iterations\": %d, "
-                 "\"hot_loop_allocations\": %lld},\n",
-                 cold_ms, cold.iterations, cold.info.hot_loop_allocations);
-    std::fprintf(json,
-                 "    \"warm\": {\"wall_ms\": %.3f, \"iterations\": %d, "
-                 "\"hot_loop_allocations\": %lld, \"ns_per_iteration\": %.0f, "
-                 "\"factorization_skipped\": %s},\n",
-                 warm_ms, warm.iterations, warm.info.hot_loop_allocations,
-                 warm_ns_per_iter, warm.info.factorization_skipped ? "true" : "false");
-    std::fprintf(json,
-                 "    \"obs\": {\"admm_allocs\": %lld, \"admm_spmv_ns\": %lld, "
-                 "\"admm_spmv_gb_s\": %.2f}\n  },\n",
-                 obs_allocs, obs_spmv_ns, obs_spmv_gb_s);
-    std::fprintf(json,
-                 "  \"spmv\": {\"reps\": %d,\n    \"csc_at\": {\"wall_ms\": %.3f, "
-                 "\"gb_s\": %.2f},\n",
-                 kSpmvReps, csc_at_ms, gbps(problem.a, csc_at_ms, kSpmvReps));
-    std::fprintf(json, "    \"mirror_at\": {\"wall_ms\": %.3f, \"gb_s\": %.2f},\n",
-                 mirror_at_ms, gbps(problem.a, mirror_at_ms, kSpmvReps));
-    std::fprintf(json, "    \"mirror_ax\": {\"wall_ms\": %.3f, \"gb_s\": %.2f},\n",
-                 mirror_ax_ms, gbps(problem.a, mirror_ax_ms, kSpmvReps));
-    std::fprintf(json, "    \"sell\": {");
-    for (std::size_t k = 0; k < tier_spmv.size(); ++k) {
-      std::fprintf(json,
-                   "%s\n      \"%s\": {\"ax\": {\"wall_ms\": %.3f, \"gb_s\": %.2f}, "
-                   "\"at\": {\"wall_ms\": %.3f, \"gb_s\": %.2f}}",
-                   k > 0 ? "," : "", simd::tier_name(tier_spmv[k].tier),
-                   tier_spmv[k].ax_ms, gbps(problem.a, tier_spmv[k].ax_ms, kSpmvReps),
-                   tier_spmv[k].at_ms, gbps(problem.a, tier_spmv[k].at_ms, kSpmvReps));
-    }
-    std::fprintf(json, "\n    },\n    \"sell_bit_identical\": %s,\n",
-                 sell_identical ? "true" : "false");
-    std::fprintf(json,
-                 "    \"vector_speedup\": %.3f,\n    \"vector_speedup_min\": %.2f\n  }\n}\n",
-                 vector_speedup, vector_speedup_min);
-    std::fclose(json);
+  gp::bench::Report report("BENCH_admm.json",
+                           gp::obs::RunManifest::capture("micro_admm_kernels"));
+  report.object("problem", {{"n", n}, {"m", m}, {"nnz_a", problem.a.nnz()},
+                            {"nnz_p", problem.p.nnz()}, {"horizon", kHorizon}});
+  report.object("simd", {{"detected", simd::tier_name(simd::detected_tier())},
+                         {"active", simd::tier_name(entry_tier)}});
+  report.object("kernels");
+  report.record("iterations", kIters);
+  auto record_kernel = [&report](const char* key, const KernelRun& run) {
+    report.object(key, {{"wall_ms", run.wall_ms},
+                        {"ns_per_iteration", run.wall_ms * 1e6 / kIters},
+                        {"allocs_per_iteration", static_cast<double>(run.loop_allocs) / kIters}});
+  };
+  record_kernel("legacy", legacy);
+  record_kernel("fused", fused);
+  report.object("tiers");
+  for (const TierAb& ab : tier_ab) {
+    report.object(simd::tier_name(ab.tier), {{"wall_ms", ab.run.wall_ms},
+                                             {"ns_per_iteration", ab.run.wall_ms * 1e6 / kIters},
+                                             {"bit_identical", bit_identical(legacy, ab.run)}});
   }
+  report.end();
+  report.object("dot_reassoc", {{"max_abs_err", dot_max_err},
+                                {"tolerance", dot_tolerance},
+                                {"within_tolerance", dot_ok}});
+  report.floor("speedup", speedup, 1.3);
+  report.record("bit_identical", kernels_identical);
+  report.end();
+  report.object("solver");
+  report.object("cold", {{"wall_ms", cold_ms},
+                         {"iterations", cold.iterations},
+                         {"hot_loop_allocations", cold.info.hot_loop_allocations}});
+  report.object("warm", {{"wall_ms", warm_ms},
+                         {"iterations", warm.iterations},
+                         {"hot_loop_allocations", warm.info.hot_loop_allocations},
+                         {"ns_per_iteration", warm_ns_per_iter},
+                         {"factorization_skipped", warm.info.factorization_skipped}});
+  report.object("obs", {{"admm_allocs", obs_allocs},
+                        {"admm_spmv_ns", obs_spmv_ns},
+                        {"admm_spmv_gb_s", obs_spmv_gb_s}});
+  report.end();
+  auto record_spmv = [&](const char* key, double wall_ms) {
+    report.object(key, {{"wall_ms", wall_ms}, {"gb_s", gbps(problem.a, wall_ms, kSpmvReps)}});
+  };
+  report.object("spmv");
+  report.record("reps", kSpmvReps);
+  record_spmv("csc_at", csc_at_ms);
+  record_spmv("mirror_at", mirror_at_ms);
+  record_spmv("mirror_ax", mirror_ax_ms);
+  report.object("sell");
+  for (const TierSpmv& row : tier_spmv) {
+    report.object(simd::tier_name(row.tier));
+    record_spmv("ax", row.ax_ms);
+    record_spmv("at", row.at_ms);
+    report.end();
+  }
+  report.end();
+  report.record("sell_bit_identical", sell_identical);
+  report.floor("vector_speedup", vector_speedup, has_vector_tier ? 1.25 : 0.0);
+  report.end();
 
-  // Gate: cross-tier bit-identity (A/B and SELL products), the >= 1.3x
-  // kernel throughput target, the machine-aware vector SpMV floor (0.0 when
-  // no vector ISA — then it never fails), the dot_reassoc tolerance lane,
-  // zero fused hot-loop allocations (both in the A/B and in the real warm
-  // solve), and both real solves reaching optimality.
+  // Gate: cross-tier bit-identity (A/B and SELL products), the kernel and
+  // vector SpMV floors above, the dot_reassoc tolerance lane, zero fused
+  // hot-loop allocations (both in the A/B and in the real warm solve), and
+  // both real solves reaching optimality.
   bool tier_allocs_zero = true;
   for (const TierAb& ab : tier_ab) {
     tier_allocs_zero = tier_allocs_zero && ab.run.loop_allocs == 0;
   }
-  const bool ok = kernels_identical && sell_identical && dot_ok && speedup >= 1.3 &&
-                  vector_speedup >= vector_speedup_min && tier_allocs_zero &&
-                  warm.info.hot_loop_allocations == 0 && solves_ok;
-  std::printf("\n# gate: speedup x%.2f (>= 1.3), spmv vector x%.2f (>= %.2f), "
-              "fused loop allocs zero on all tiers %s, "
-              "warm-solve hot-loop allocs %lld (== 0), bit_identical %s, "
-              "sell_bit_identical %s, dot_reassoc %s, solves %s -- %s\n",
-              speedup, vector_speedup, vector_speedup_min,
-              tier_allocs_zero ? "true" : "false", warm.info.hot_loop_allocations,
-              kernels_identical ? "true" : "false", sell_identical ? "true" : "false",
-              dot_ok ? "ok" : "FAILED", solves_ok ? "ok" : "FAILED",
-              ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  report.check("kernels_bit_identical", kernels_identical);
+  report.check("sell_bit_identical", sell_identical);
+  report.check("dot_reassoc_within_tolerance", dot_ok);
+  report.check("fused_loop_allocs_zero", tier_allocs_zero);
+  report.check("warm_hot_loop_allocs_zero", warm.info.hot_loop_allocations == 0);
+  report.check("solves_ok", solves_ok);
+  return report.finish();
 }

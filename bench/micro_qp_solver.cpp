@@ -1,13 +1,21 @@
-// Solver micro-benchmarks (google-benchmark): how the ADMM and IPM paths
-// scale with the DSPP window dimensions (L data centers x V access networks
-// x W periods), plus the sparse LDL^T kernel on a window KKT system.
+// Solver micro-benchmarks (BENCH_qp.json): how the ADMM and IPM paths scale
+// with the DSPP window dimensions (L data centers x V access networks x W
+// periods), plus the sparse LDL^T kernel on a window KKT system. Each shape
+// reports the median wall time of kRepeats runs; one solver object serves
+// all repeats of a shape, so the ADMM median is a warm (structure-cached)
+// solve. Every solve and factorization must succeed.
 //
 // These justify the solver architecture: the sparse ADMM path is the
 // production solver (near-linear in nonzeros per iteration after one
 // factorization), the dense IPM is the small-problem cross-checker (cubic).
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "dspp/window_program.hpp"
+#include "harness.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "qp/admm_solver.hpp"
 #include "qp/ipm_solver.hpp"
@@ -16,6 +24,21 @@
 namespace {
 
 using namespace gp;
+
+constexpr int kRepeats = 5;
+
+/// Median wall time in ms of kRepeats calls of `run`.
+template <typename Run>
+double median_ms(Run&& run) {
+  std::vector<double> walls;
+  for (int r = 0; r < kRepeats; ++r) {
+    const auto start = bench::Clock::now();
+    run();
+    walls.push_back(bench::ms_since(start));
+  }
+  std::nth_element(walls.begin(), walls.begin() + kRepeats / 2, walls.end());
+  return walls[kRepeats / 2];
+}
 
 /// Builds a window program of the given dimensions on the paper scenario.
 dspp::WindowProgram make_window(std::size_t num_dcs, std::size_t num_cities,
@@ -37,49 +60,26 @@ dspp::WindowProgram make_window(std::size_t num_dcs, std::size_t num_cities,
   return dspp::WindowProgram(scenario.model, pairs, std::move(inputs));
 }
 
-void BM_AdmmWindow(benchmark::State& state) {
-  const auto num_dcs = static_cast<std::size_t>(state.range(0));
-  const auto num_cities = static_cast<std::size_t>(state.range(1));
-  const auto horizon = static_cast<std::size_t>(state.range(2));
+/// Times kRepeats solves of one L x V x W window shape with one Solver
+/// object and writes its row; every solve must succeed.
+template <typename Solver>
+void bench_window(bench::Report& report, const char* family, std::size_t num_dcs,
+                  std::size_t num_cities, std::size_t horizon) {
   const auto program = make_window(num_dcs, num_cities, horizon);
-  qp::AdmmSolver solver;
-  for (auto _ : state) {
-    auto solution = program.solve(solver);
-    benchmark::DoNotOptimize(solution.objective);
-    if (!solution.ok()) state.SkipWithError("ADMM failed");
-  }
-  state.counters["vars"] = static_cast<double>(program.problem().num_variables());
-  state.counters["rows"] = static_cast<double>(program.problem().num_constraints());
+  Solver solver;
+  bool ok = true;
+  const double wall_ms = median_ms([&] { ok = program.solve(solver).ok() && ok; });
+  const std::string shape = std::to_string(num_dcs) + "x" + std::to_string(num_cities) +
+                            "x" + std::to_string(horizon);
+  report.object(shape, {{"vars", program.problem().num_variables()},
+                        {"rows", program.problem().num_constraints()},
+                        {"wall_ms", wall_ms}});
+  report.check(std::string(family) + "." + shape, ok);
 }
-BENCHMARK(BM_AdmmWindow)
-    ->Args({1, 1, 5})
-    ->Args({2, 6, 5})
-    ->Args({4, 12, 5})
-    ->Args({4, 24, 5})
-    ->Args({4, 24, 10})
-    ->Unit(benchmark::kMillisecond);
 
-void BM_IpmWindow(benchmark::State& state) {
-  const auto num_dcs = static_cast<std::size_t>(state.range(0));
-  const auto num_cities = static_cast<std::size_t>(state.range(1));
-  const auto horizon = static_cast<std::size_t>(state.range(2));
-  const auto program = make_window(num_dcs, num_cities, horizon);
-  qp::IpmSolver solver;
-  for (auto _ : state) {
-    auto solution = program.solve(solver);
-    benchmark::DoNotOptimize(solution.objective);
-    if (!solution.ok()) state.SkipWithError("IPM failed");
-  }
-  state.counters["vars"] = static_cast<double>(program.problem().num_variables());
-}
-BENCHMARK(BM_IpmWindow)
-    ->Args({1, 1, 5})
-    ->Args({2, 6, 5})
-    ->Args({4, 12, 5})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SparseLdltFactor(benchmark::State& state) {
-  const auto num_cities = static_cast<std::size_t>(state.range(0));
+/// Times repeated factorizations of the ADMM KKT matrix of a 4 x num_cities
+/// x 8 window and writes its row; every factorization must succeed.
+void bench_ldlt(bench::Report& report, std::size_t num_cities) {
   const auto program = make_window(4, num_cities, 8);
   // Assemble the ADMM KKT upper triangle the way the solver does.
   const auto& problem = program.problem();
@@ -101,16 +101,36 @@ void BM_SparseLdltFactor(benchmark::State& state) {
   }
   for (std::int32_t i = 0; i < m; ++i) triplets.push_back({n + i, n + i, -10.0});
   const auto kkt = linalg::SparseMatrix::from_triplets(n + m, n + m, triplets);
-  for (auto _ : state) {
+  bool ok = true;
+  const double wall_ms = median_ms([&] {
     linalg::SparseLdlt ldlt;
-    const auto status = ldlt.factor(kkt);
-    benchmark::DoNotOptimize(status);
-    if (status != linalg::SparseLdlt::Status::kOk) state.SkipWithError("factor failed");
-  }
-  state.counters["dim"] = static_cast<double>(n + m);
+    ok = ldlt.factor(kkt) == linalg::SparseLdlt::Status::kOk && ok;
+  });
+  const std::string shape = "4x" + std::to_string(num_cities) + "x8";
+  report.object(shape, {{"dim", n + m}, {"wall_ms", wall_ms}});
+  report.check("ldlt." + shape, ok);
 }
-BENCHMARK(BM_SparseLdltFactor)->Arg(6)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  bench::Report report("BENCH_qp.json", obs::RunManifest::capture("micro_qp_solver"));
+  report.record("repeats", kRepeats);
+
+  report.object("admm");
+  bench_window<qp::AdmmSolver>(report, "admm", 1, 1, 5);
+  bench_window<qp::AdmmSolver>(report, "admm", 2, 6, 5);
+  bench_window<qp::AdmmSolver>(report, "admm", 4, 12, 5);
+  bench_window<qp::AdmmSolver>(report, "admm", 4, 24, 5);
+  bench_window<qp::AdmmSolver>(report, "admm", 4, 24, 10);
+  report.end();
+  report.object("ipm");
+  bench_window<qp::IpmSolver>(report, "ipm", 1, 1, 5);
+  bench_window<qp::IpmSolver>(report, "ipm", 2, 6, 5);
+  bench_window<qp::IpmSolver>(report, "ipm", 4, 12, 5);
+  report.end();
+  report.object("ldlt");
+  for (std::size_t cities : {6, 12, 24}) bench_ldlt(report, cities);
+  report.end();
+  return report.finish();
+}

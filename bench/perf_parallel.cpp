@@ -11,33 +11,28 @@
 //     and the solver's setup-reuse counters (structure hits, numeric-only
 //     refactorizations, factorizations skipped outright).
 //
-// Wall-clock speedup is reported honestly: on a box with a single hardware
-// thread the lanes time-slice one core and the speedup hovers around 1.0;
-// the determinism check and the caching/warm-start wins are the meaningful
-// signal there. `cpus` in the JSON records what the machine offered.
+// Wall-clock speedup is reported honestly: with a single usable lane
+// (bench/harness.hpp) the lanes time-slice one core and the speedup hovers
+// around 1.0; the determinism check and the caching/warm-start wins are the
+// meaningful signal there. `cpus` in the JSON records what the machine
+// offered.
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "game/competition.hpp"
+#include "harness.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "scenario/policy.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/report.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using gp::bench::Clock;
+using gp::bench::ms_since;
 using gp::linalg::Vector;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 // 8 providers fighting over a cheap bottleneck site (the Fig. 7 setup).
 std::vector<gp::game::ProviderConfig> game_providers() {
@@ -135,35 +130,17 @@ int main() {
   // 2/4/8-lane runs genuinely exercise multi-threaded dispatch (the pool is
   // sized once, on first use).
   setenv("GEOPLACE_THREADS", "8", /*overwrite=*/0);
-  const unsigned cpus = std::thread::hardware_concurrency();
   // Wall-clock speedup is only a meaningful ratio when the lanes can
-  // actually run concurrently. On a single-hardware-thread host the runs
-  // time-slice one core and the ratio is scheduler noise, so it is reported
-  // as n/a (and flagged invalid in the JSON) rather than pretending 1.0x
-  // is a measurement.
-  const bool speedup_valid = cpus > 1;
-
-  gp::scenario::print_series_header(
-      "Parallel solve layer: 8-provider game wall time vs best-response lanes",
-      {"threads", "wall_ms", "speedup", "iterations", "bit_identical"});
-  if (!speedup_valid) {
-    std::printf("# single hardware thread (cpus=1): speedup column is n/a\n");
-  }
+  // actually run concurrently. With a single usable lane the runs
+  // time-slice one core and the ratio is scheduler noise, so the JSON flags
+  // it invalid rather than pretending 1.0x is a measurement.
+  const bool speedup_valid = gp::bench::usable_lanes() > 1;
 
   std::vector<GameRun> runs;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) runs.push_back(run_game(threads));
   bool all_identical = true;
   for (const auto& run : runs) {
-    const bool same = identical(run.result, runs.front().result);
-    all_identical = all_identical && same;
-    if (speedup_valid) {
-      gp::scenario::print_row({static_cast<double>(run.threads), run.wall_ms,
-                            runs.front().wall_ms / run.wall_ms,
-                            static_cast<double>(run.iterations), same ? 1.0 : 0.0});
-    } else {
-      std::printf("%zu  %.3f  n/a  %d  %d\n", run.threads, run.wall_ms, run.iterations,
-                  same ? 1 : 0);
-    }
+    all_identical = all_identical && identical(run.result, runs.front().result);
   }
 
   // Baseline runs with the metrics registry explicitly OFF: this is the
@@ -208,7 +185,7 @@ int main() {
   // the armed run's artifacts are BIT-identical (total cost, iteration
   // counts) — sampling must observe the solver, never steer it. The folded
   // stacks land in BENCH_parallel.folded for gp_flame; the ≤5% overhead
-  // ceiling is enforced by bench_check --internal via overhead_ratio_max.
+  // ceiling travels as overhead_ratio_max.
   registry.set_enabled(false);
   constexpr int kOverheadReps = 3;
   const MpcRun plain = run_mpc(true);
@@ -235,114 +212,72 @@ int main() {
                                     armed.unsolved == plain.unsolved;
   const double profiler_overhead_ratio = plain_best > 0.0 ? armed_best / plain_best : 0.0;
 
-  std::printf("\n# 96-step MPC (4 DCs x 24 cities, horizon 5)\n");
-  gp::scenario::print_series_header("variant: wall_ms, admm_iterations, unsolved",
-                                 {"reuse", "wall_ms", "admm_iterations", "unsolved"});
-  gp::scenario::print_row({0.0, cold.wall_ms, static_cast<double>(cold.admm_iterations),
-                        static_cast<double>(cold.unsolved)});
-  gp::scenario::print_row({1.0, cached.wall_ms, static_cast<double>(cached.admm_iterations),
-                        static_cast<double>(cached.unsolved)});
-  std::printf("# cached-run solver setup: %lld solves, %lld structure hits, "
-              "%lld full factors, %lld refactors, %lld factorizations skipped\n",
-              cached.stats.solves, cached.stats.structure_hits,
-              cached.stats.full_factorizations, cached.stats.refactorizations,
-              cached.stats.factorizations_skipped);
-  std::printf("# obs registry (instrumented cached run): cache hit rate %.3f, "
-              "skip rate %.3f, iters/solve p50 %.1f p95 %.1f, "
-              "mpc step ms p50 %.3f p95 %.3f p99 %.3f, overhead x%.3f\n",
-              cache_hit_rate, skip_rate, iters_snapshot.p50, iters_snapshot.p95,
-              step_snapshot.p50, step_snapshot.p95, step_snapshot.p99,
-              obs_overhead_ratio);
-  std::printf("# profiler (armed cached run): overhead x%.3f (best of %d), "
-              "%llu samples (%llu torn), artifacts %s\n",
-              profiler_overhead_ratio, kOverheadReps, profiler_samples, profiler_torn,
-              profiler_transparent ? "bit-identical" : "DIVERGED");
-
-  std::FILE* json = std::fopen("BENCH_parallel.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"manifest\": %s,\n",
-                 gp::obs::RunManifest::capture("perf_parallel").to_json_object().c_str());
-    std::fprintf(json, "  \"cpus\": %u,\n  \"game\": {\n", cpus);
-    std::fprintf(json, "    \"providers\": 8,\n    \"bit_identical\": %s,\n",
-                 all_identical ? "true" : "false");
-    std::fprintf(json, "    \"speedup_valid\": %s,\n", speedup_valid ? "true" : "false");
-    std::fprintf(json, "    \"runs\": [\n");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      // The per-run speedup key is omitted entirely when invalid so that
-      // downstream tooling cannot average a meaningless ratio by accident.
-      if (speedup_valid) {
-        std::fprintf(json,
-                     "      {\"threads\": %zu, \"wall_ms\": %.3f, \"speedup\": %.3f, "
-                     "\"iterations\": %d}%s\n",
-                     runs[i].threads, runs[i].wall_ms, runs.front().wall_ms / runs[i].wall_ms,
-                     runs[i].iterations, i + 1 < runs.size() ? "," : "");
-      } else {
-        std::fprintf(json,
-                     "      {\"threads\": %zu, \"wall_ms\": %.3f, \"iterations\": %d}%s\n",
-                     runs[i].threads, runs[i].wall_ms, runs[i].iterations,
-                     i + 1 < runs.size() ? "," : "");
-      }
-    }
-    std::fprintf(json, "    ]\n  },\n  \"mpc\": {\n    \"steps\": 96,\n");
-    std::fprintf(json,
-                 "    \"cold\": {\"wall_ms\": %.3f, \"admm_iterations\": %lld, "
-                 "\"unsolved\": %d},\n",
-                 cold.wall_ms, cold.admm_iterations, cold.unsolved);
-    std::fprintf(json,
-                 "    \"cached\": {\"wall_ms\": %.3f, \"admm_iterations\": %lld, "
-                 "\"unsolved\": %d,\n",
-                 cached.wall_ms, cached.admm_iterations, cached.unsolved);
-    std::fprintf(json,
-                 "      \"structure_hits\": %lld, \"full_factorizations\": %lld, "
-                 "\"refactorizations\": %lld, \"factorizations_skipped\": %lld},\n",
-                 cached.stats.structure_hits, cached.stats.full_factorizations,
-                 cached.stats.refactorizations, cached.stats.factorizations_skipped);
-    std::fprintf(json,
-                 "    \"obs\": {\"cache_hit_rate\": %.3f, "
-                 "\"factorization_skip_rate\": %.3f,\n",
-                 cache_hit_rate, skip_rate);
-    std::fprintf(json,
-                 "      \"iterations_per_solve_p50\": %.1f, "
-                 "\"iterations_per_solve_p95\": %.1f,\n",
-                 iters_snapshot.p50, iters_snapshot.p95);
-    std::fprintf(json,
-                 "      \"step_ms_p50\": %.3f, \"step_ms_p95\": %.3f, "
-                 "\"step_ms_p99\": %.3f,\n",
-                 step_snapshot.p50, step_snapshot.p95, step_snapshot.p99);
-    std::fprintf(json,
-                 "      \"metrics_overhead_ratio\": %.3f, "
-                 "\"disabled_is_silent\": %s},\n",
-                 obs_overhead_ratio, disabled_is_silent ? "true" : "false");
-    // overhead_ratio_max is the bench_check --internal ceiling: an armed
-    // profiler may cost at most 5% wall time on the MPC workload.
-    std::fprintf(json,
-                 "    \"profiler\": {\"overhead_ratio\": %.3f, "
-                 "\"overhead_ratio_max\": 1.05,\n"
-                 "      \"samples\": %llu, \"torn\": %llu, \"transparent\": %s},\n",
-                 profiler_overhead_ratio, profiler_samples, profiler_torn,
-                 profiler_transparent ? "true" : "false");
-    std::fprintf(json, "    \"iteration_ratio\": %.3f,\n",
-                 cold.admm_iterations > 0
-                     ? static_cast<double>(cached.admm_iterations) /
-                           static_cast<double>(cold.admm_iterations)
-                     : 0.0);
-    std::fprintf(json, "    \"wall_ratio\": %.3f\n  }\n}\n",
-                 cold.wall_ms > 0.0 ? cached.wall_ms / cold.wall_ms : 0.0);
-    std::fclose(json);
+  gp::bench::Report report("BENCH_parallel.json",
+                           gp::obs::RunManifest::capture("perf_parallel"));
+  report.record("cpus", gp::bench::cpus());
+  report.object("game");
+  report.record("providers", 8);
+  report.record("bit_identical", all_identical);
+  report.record("speedup_valid", speedup_valid);
+  report.array("runs");
+  for (const GameRun& run : runs) {
+    report.object();
+    report.record("threads", run.threads);
+    report.record("wall_ms", run.wall_ms);
+    // The per-run speedup key is omitted entirely when invalid so that
+    // downstream tooling cannot average a meaningless ratio by accident.
+    if (speedup_valid) report.record("speedup", runs.front().wall_ms / run.wall_ms);
+    report.record("iterations", run.iterations);
+    report.end();
   }
+  report.end();
+  report.end();
+  report.object("mpc");
+  report.record("steps", 96);
+  report.object("cold", {{"wall_ms", cold.wall_ms},
+                         {"admm_iterations", cold.admm_iterations},
+                         {"unsolved", cold.unsolved}});
+  report.object("cached", {{"wall_ms", cached.wall_ms},
+                           {"admm_iterations", cached.admm_iterations},
+                           {"unsolved", cached.unsolved},
+                           {"structure_hits", cached.stats.structure_hits},
+                           {"full_factorizations", cached.stats.full_factorizations},
+                           {"refactorizations", cached.stats.refactorizations},
+                           {"factorizations_skipped", cached.stats.factorizations_skipped}});
+  report.object("obs", {{"cache_hit_rate", cache_hit_rate},
+                        {"factorization_skip_rate", skip_rate},
+                        {"iterations_per_solve_p50", iters_snapshot.p50},
+                        {"iterations_per_solve_p95", iters_snapshot.p95},
+                        {"step_ms_p50", step_snapshot.p50},
+                        {"step_ms_p95", step_snapshot.p95},
+                        {"step_ms_p99", step_snapshot.p99},
+                        {"metrics_overhead_ratio", obs_overhead_ratio},
+                        {"disabled_is_silent", disabled_is_silent}});
+  report.object("profiler");
+  // An armed profiler may cost at most 5% wall time on the MPC workload.
+  report.ceiling("overhead_ratio", profiler_overhead_ratio, 1.05);
+  report.record("samples", profiler_samples);
+  report.record("torn", profiler_torn);
+  report.record("transparent", profiler_transparent);
+  report.end();
+  report.record("iteration_ratio",
+                cold.admm_iterations > 0 ? static_cast<double>(cached.admm_iterations) /
+                                               static_cast<double>(cold.admm_iterations)
+                                         : 0.0);
+  report.record("wall_ratio", cold.wall_ms > 0.0 ? cached.wall_ms / cold.wall_ms : 0.0);
+  report.end();
 
   // The run is healthy when determinism holds, solver-state reuse did not
   // cost iterations (it should cut them) nor break any step, the disabled
-  // registry stayed untouched, and the instrumented run actually recorded.
-  const bool ok = all_identical && cached.unsolved == cold.unsolved &&
-                  cached.admm_iterations <= cold.admm_iterations &&
-                  disabled_is_silent && obs_solves > 0 && profiler_transparent &&
-                  profiler_samples > 0;
-  std::printf("\n# determinism %s, cached iterations %lld vs cold %lld, "
-              "disabled registry %s, profiler %s -- %s\n",
-              all_identical ? "holds" : "VIOLATED", cached.admm_iterations,
-              cold.admm_iterations, disabled_is_silent ? "silent" : "NOT SILENT",
-              profiler_transparent ? "transparent" : "NOT TRANSPARENT",
-              ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  // registry stayed untouched, and the instrumented and armed runs actually
+  // recorded.
+  report.check("bit_identical", all_identical);
+  report.check("cached_unsolved_equal", cached.unsolved == cold.unsolved);
+  report.check("cached_iterations_not_above_cold",
+               cached.admm_iterations <= cold.admm_iterations);
+  report.check("disabled_is_silent", disabled_is_silent);
+  report.check("obs_recorded", obs_solves > 0);
+  report.check("profiler_transparent", profiler_transparent);
+  report.check("profiler_sampled", profiler_samples > 0);
+  return report.finish();
 }

@@ -34,10 +34,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "dspp/assignment.hpp"
 #include "dspp/block_window.hpp"
+#include "harness.hpp"
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 #include "scenario/registry.hpp"
@@ -174,7 +174,6 @@ int main() {
   // Size the global pool for the multi-lane runs regardless of what the
   // machine reports (the pool is sized once, on first use).
   setenv("GEOPLACE_THREADS", "4", /*overwrite=*/0);
-  const unsigned cpus = std::thread::hardware_concurrency();
 
   const gp::scenario::ScenarioSpec spec = gp::scenario::preset("scale_continental");
   const gp::scenario::ScenarioBundle bundle = gp::scenario::build(spec);
@@ -208,16 +207,7 @@ int main() {
   const double speedup =
       dense_scans_per_s > 0.0 ? pruned_scans_per_s / dense_scans_per_s : 0.0;
 
-  std::printf("# scale: %zu DCs x %zu ANs, k=%zu, cpus=%u (checksum %.3g)\n",
-              bundle.model.num_datacenters(), bundle.model.num_access_networks(),
-              spec.candidates_per_an, cpus, checksum);
-  std::printf("dense index:  %zu pairs, %.2f ms/scan, %.1f scans/s\n",
-              dense_pairs.num_pairs(), dense_wall / static_cast<double>(dense_reps),
-              dense_scans_per_s);
-  std::printf("pruned index: %zu pairs, %.3f ms/scan, %.1f scans/s\n",
-              pruned_pairs.num_pairs(), pruned_wall / static_cast<double>(pruned_reps),
-              pruned_scans_per_s);
-  std::printf("assignment-scan speedup: x%.1f (floor %.1f)\n", speedup, kSpeedupFloor);
+  std::printf("# assignment scans done (checksum %.3g)\n", checksum);
 
   // --- 2. window-QP growth across a topology doubling ---------------------
   const QpTiming qp_a = time_qp(spec, 100, 1000);
@@ -225,13 +215,6 @@ int main() {
   const double exponent = (qp_a.wall_ms > 0.0 && qp_b.wall_ms > 0.0)
                               ? std::log2(qp_b.wall_ms / qp_a.wall_ms)
                               : kExponentCeiling + 1.0;
-  const bool qp_ok = qp_a.ok && qp_b.ok;
-  std::printf("window QP %zux%zu:  %zu pairs, %.1f ms, %d consensus iterations\n",
-              qp_a.dcs, qp_a.ans, qp_a.pairs, qp_a.wall_ms, qp_a.consensus_iterations);
-  std::printf("window QP %zux%zu: %zu pairs, %.1f ms, %d consensus iterations\n",
-              qp_b.dcs, qp_b.ans, qp_b.pairs, qp_b.wall_ms, qp_b.consensus_iterations);
-  std::printf("growth exponent on topology doubling: %.2f (ceiling %.1f)\n", exponent,
-              kExponentCeiling);
 
   // --- 3. cross-lane bit-identity of the consensus solve ------------------
   // A capped outer budget keeps the three cold solves cheap; every lane cap
@@ -249,44 +232,28 @@ int main() {
   const gp::dspp::WindowSolution lanes4 = solve_at(4);
   const gp::dspp::WindowSolution lanes7 = solve_at(7);  // over-subscribed on purpose
   const bool bit_identical = identical(lanes1, lanes4) && identical(lanes1, lanes7);
-  std::printf("bit-identical consensus solve across lane caps 1/4/7: %s\n",
-              bit_identical ? "yes" : "NO");
 
-  const gp::obs::RunManifest manifest = gp::obs::RunManifest::capture("perf_scale");
-  std::FILE* json = std::fopen("BENCH_scale.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"manifest\": %s,\n", manifest.to_json_object().c_str());
-    std::fprintf(json, "  \"cpus\": %u,\n", cpus);
-    std::fprintf(json,
-                 "  \"topology\": {\"dcs\": %zu, \"ans\": %zu, \"k\": %zu, "
-                 "\"dense_pairs\": %zu, \"pruned_pairs\": %zu},\n",
-                 bundle.model.num_datacenters(), bundle.model.num_access_networks(),
-                 spec.candidates_per_an, dense_pairs.num_pairs(), pruned_pairs.num_pairs());
-    std::fprintf(json,
-                 "  \"assign\": {\"dense\": {\"wall_ms\": %.3f, \"scans_per_s\": %.2f},\n"
-                 "             \"pruned\": {\"wall_ms\": %.3f, \"scans_per_s\": %.2f}},\n",
-                 dense_wall, dense_scans_per_s, pruned_wall, pruned_scans_per_s);
-    std::fprintf(json, "  \"assign_speedup\": %.3f,\n", speedup);
-    std::fprintf(json, "  \"assign_speedup_min\": %.1f,\n", kSpeedupFloor);
-    std::fprintf(json,
-                 "  \"qp\": {\"scale_a\": {\"dcs\": %zu, \"ans\": %zu, \"pairs\": %zu, "
-                 "\"wall_ms\": %.3f, \"consensus_iterations\": %d},\n"
-                 "         \"scale_b\": {\"dcs\": %zu, \"ans\": %zu, \"pairs\": %zu, "
-                 "\"wall_ms\": %.3f, \"consensus_iterations\": %d}},\n",
-                 qp_a.dcs, qp_a.ans, qp_a.pairs, qp_a.wall_ms, qp_a.consensus_iterations,
-                 qp_b.dcs, qp_b.ans, qp_b.pairs, qp_b.wall_ms, qp_b.consensus_iterations);
-    std::fprintf(json, "  \"qp_growth_exponent\": %.3f,\n", exponent);
-    std::fprintf(json, "  \"qp_growth_exponent_max\": %.1f,\n", kExponentCeiling);
-    std::fprintf(json, "  \"bit_identical\": %s\n}\n", bit_identical ? "true" : "false");
-    std::fclose(json);
+  gp::bench::Report report("BENCH_scale.json", gp::obs::RunManifest::capture("perf_scale"));
+  report.record("cpus", gp::bench::cpus());
+  report.object("topology", {{"dcs", bundle.model.num_datacenters()},
+                             {"ans", bundle.model.num_access_networks()},
+                             {"k", spec.candidates_per_an},
+                             {"dense_pairs", dense_pairs.num_pairs()},
+                             {"pruned_pairs", pruned_pairs.num_pairs()}});
+  report.object("assign");
+  report.object("dense", {{"wall_ms", dense_wall}, {"scans_per_s", dense_scans_per_s}});
+  report.object("pruned", {{"wall_ms", pruned_wall}, {"scans_per_s", pruned_scans_per_s}});
+  report.end();
+  report.floor("assign_speedup", speedup, kSpeedupFloor);
+  report.object("qp");
+  for (const auto& [key, t] : {std::pair{"scale_a", qp_a}, std::pair{"scale_b", qp_b}}) {
+    report.object(key, {{"dcs", t.dcs}, {"ans", t.ans}, {"pairs", t.pairs},
+                        {"wall_ms", t.wall_ms}, {"consensus_iterations", t.consensus_iterations}});
   }
-
-  const bool ok = bit_identical && qp_ok && speedup >= kSpeedupFloor &&
-                  exponent <= kExponentCeiling;
-  std::printf("\n# determinism %s, scan speedup %s, QP growth %s, solves %s -- %s\n",
-              bit_identical ? "holds" : "VIOLATED",
-              speedup >= kSpeedupFloor ? "meets floor" : "BELOW FLOOR",
-              exponent <= kExponentCeiling ? "sub-quadratic" : "ABOVE CEILING",
-              qp_ok ? "healthy" : "NUMERICAL FAILURE", ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  report.end();
+  report.ceiling("qp_growth_exponent", exponent, kExponentCeiling);
+  report.record("bit_identical", bit_identical);
+  report.check("bit_identical", bit_identical);
+  report.check("qp_solves_healthy", qp_a.ok && qp_b.ok);
+  return report.finish();
 }

@@ -7,25 +7,22 @@
 // must be BIT-identical across thread counts), and derives the thread
 // scaling ratio.
 //
-// Honest reporting on small boxes: on a host with fewer than 4 hardware
-// threads the lanes time-slice the same cores and the scaling ratio is
-// scheduler noise, so `thread_scaling_ratio_min` is written as 0.0 (nothing
-// to gate) instead of pretending. On a >= 4-core box the floor is 2.0 and
-// tools/bench_check.py enforces ratio >= floor via its internal-constraint
-// check.
+// Honest reporting: with fewer than 4 usable lanes (bench/harness.hpp) the
+// lanes time-slice the same cores and the scaling ratio is scheduler noise,
+// so `thread_scaling_ratio_min` is written as 0.0 (nothing to gate) instead
+// of pretending. With 4 usable lanes the floor is 2.0.
 //
 // Timeline overhead gate: a third 4-lane run with the per-period telemetry
 // timeline (GEOPLACE_TIMELINE) force-armed measures what recording one
 // TelemetryFrame per period costs the hot loop, and re-checks that the
 // sweep's JSONL stays bit-identical with recording on. The floor
 // (timeline_overhead_ratio_min) is deliberately loose — recording must not
-// halve throughput — and, like thread scaling, is only gated on >= 4-cpu
-// hosts where the measurement is not scheduler noise.
-#include <cstdio>
+// halve throughput — and, like thread scaling, is only gated with 4 usable
+// lanes, where the measurement is not scheduler noise.
 #include <cstdlib>
 #include <sstream>
-#include <thread>
 
+#include "harness.hpp"
 #include "obs/manifest.hpp"
 #include "obs/timeline.hpp"
 #include "scenario/sweep.hpp"
@@ -34,7 +31,6 @@ int main() {
   // Size the global pool for the 4-lane run regardless of what the machine
   // reports (the pool is sized once, on first use).
   setenv("GEOPLACE_THREADS", "4", /*overwrite=*/0);
-  const unsigned cpus = std::thread::hardware_concurrency();
 
   gp::scenario::SweepGrid grid;
   grid.scenarios = {gp::scenario::preset("ablation_small")};
@@ -80,56 +76,21 @@ int main() {
 
   const double ratio =
       result1.runs_per_s > 0.0 ? result4.runs_per_s / result1.runs_per_s : 0.0;
-  const bool scaling_gated = cpus >= 4;
-  const double ratio_min = scaling_gated ? 2.0 : 0.0;
   const double timeline_ratio =
       result4.runs_per_s > 0.0 ? result_tl.runs_per_s / result4.runs_per_s : 0.0;
-  const double timeline_ratio_min = scaling_gated ? 0.5 : 0.0;
 
-  std::printf("# sweep: %zu runs (1 scenario x 1 policy x 16 seeds), cpus=%u\n",
-              result1.runs.size(), cpus);
-  std::printf("threads=1: %.1f ms, %.2f runs/s\n", result1.wall_ms, result1.runs_per_s);
-  std::printf("threads=4: %.1f ms, %.2f runs/s\n", result4.wall_ms, result4.runs_per_s);
-  std::printf("bit-identical JSONL across thread counts: %s\n",
-              bit_identical ? "yes" : "NO");
-  if (scaling_gated) {
-    std::printf("thread scaling ratio: x%.2f (floor %.1f)\n", ratio, ratio_min);
-  } else {
-    std::printf("thread scaling ratio: x%.2f (n/a: cpus=%u < 4, not gated)\n", ratio, cpus);
-  }
-  std::printf("timeline armed: %.1f ms, %.2f runs/s (x%.2f of disabled%s), results %s\n",
-              result_tl.wall_ms, result_tl.runs_per_s, timeline_ratio,
-              scaling_gated ? "" : ", not gated",
-              timeline_transparent ? "identical" : "PERTURBED");
-
-  std::FILE* json = std::fopen("BENCH_sweep.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"manifest\": %s,\n",
-                 result1.manifest.to_json_object().c_str());
-    std::fprintf(json, "  \"cpus\": %u,\n  \"runs\": %zu,\n", cpus, result1.runs.size());
-    std::fprintf(json, "  \"threads1\": {\"wall_ms\": %.3f, \"runs_per_s\": %.3f},\n",
-                 result1.wall_ms, result1.runs_per_s);
-    std::fprintf(json, "  \"threads4\": {\"wall_ms\": %.3f, \"runs_per_s\": %.3f},\n",
-                 result4.wall_ms, result4.runs_per_s);
-    std::fprintf(json, "  \"bit_identical\": %s,\n", bit_identical ? "true" : "false");
-    std::fprintf(json, "  \"thread_scaling_ratio\": %.3f,\n", ratio);
-    std::fprintf(json, "  \"thread_scaling_ratio_min\": %.1f,\n", ratio_min);
-    std::fprintf(json, "  \"timeline\": {\"wall_ms\": %.3f, \"runs_per_s\": %.3f},\n",
-                 result_tl.wall_ms, result_tl.runs_per_s);
-    std::fprintf(json, "  \"timeline_transparent\": %s,\n",
-                 timeline_transparent ? "true" : "false");
-    std::fprintf(json, "  \"timeline_overhead_ratio\": %.3f,\n", timeline_ratio);
-    std::fprintf(json, "  \"timeline_overhead_ratio_min\": %.1f\n}\n", timeline_ratio_min);
-    std::fclose(json);
-  }
-
-  const bool ok = bit_identical && timeline_transparent &&
-                  (!scaling_gated ||
-                   (ratio >= ratio_min && timeline_ratio >= timeline_ratio_min));
-  std::printf("\n# determinism %s, timeline %s, scaling %s -- %s\n",
-              bit_identical ? "holds" : "VIOLATED",
-              timeline_transparent ? "transparent" : "PERTURBS RESULTS",
-              scaling_gated ? (ratio >= ratio_min ? "meets floor" : "BELOW FLOOR") : "n/a",
-              ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  gp::bench::Report report("BENCH_sweep.json", result1.manifest);
+  report.record("cpus", gp::bench::cpus());
+  report.record("runs", result1.runs.size());
+  report.object("threads1", {{"wall_ms", result1.wall_ms}, {"runs_per_s", result1.runs_per_s}});
+  report.object("threads4", {{"wall_ms", result4.wall_ms}, {"runs_per_s", result4.runs_per_s}});
+  report.record("bit_identical", bit_identical);
+  report.floor("thread_scaling_ratio", ratio, 2.0, 4);
+  report.object("timeline",
+                {{"wall_ms", result_tl.wall_ms}, {"runs_per_s", result_tl.runs_per_s}});
+  report.record("timeline_transparent", timeline_transparent);
+  report.floor("timeline_overhead_ratio", timeline_ratio, 0.5, 4);
+  report.check("bit_identical", bit_identical);
+  report.check("timeline_transparent", timeline_transparent);
+  return report.finish();
 }

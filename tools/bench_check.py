@@ -5,7 +5,6 @@ Usage:
     bench_check.py BASELINE.json CANDIDATE.json [BASELINE2.json CANDIDATE2.json ...]
                    [--threshold 0.15]
     bench_check.py --internal FILE.json [FILE2.json ...]
-    bench_check.py --bandwidth-floor GB_S FILE.json [FILE2.json ...]
     bench_check.py --append-history FILE.json [FILE2.json ...]
                    [--history-dir DIR] [--threshold 0.15]
     bench_check.py --self-test
@@ -27,12 +26,10 @@ declares a floor for its sibling leaf "X" (e.g. BENCH_sweep.json writes
 "X_max" declares a ceiling (e.g. BENCH_scale.json gates its QP growth
 exponent with "qp_growth_exponent_max"). This is how machine-dependent
 gates travel inside the artifact — the bench decides the bound (0.0 = not
-gated on this box), the checker enforces it anywhere.
-
---bandwidth-floor gates every "*gb_s" leaf in the given files against one
-absolute floor in GB/s (e.g. `--bandwidth-floor 5.0 BENCH_admm.json` fails
-if any measured bandwidth fell below 5 GB/s). Use it on a box whose memory
-system is known; the relative pair/internal modes stay machine-portable.
+gated on this box), the checker enforces it anywhere. A file whose
+top-level "ok" is false fails too: that is the bench binary's own verdict
+(bench/harness.hpp), which covers conditions without a bound leaf such as
+bit-identity. A file without "ok" is judged by its bounds alone.
 
 --append-history accumulates a perf trajectory: for each BENCH_X.json it
 appends one JSONL line — the file's manifest (provenance: git sha, build,
@@ -146,53 +143,9 @@ def check_internal(tree):
     return violations, rows
 
 
-def check_bandwidth_floor(tree, floor):
-    """Gates every "*gb_s" leaf against one absolute floor (GB/s). Returns
-    (violations, rows); rows are (path, value, ok)."""
-    rows = []
-    violations = []
-    for path, value in sorted(dict(walk(tree)).items()):
-        if not path.split(".")[-1].endswith("gb_s"):
-            continue
-        ok = value >= floor
-        rows.append((path, value, ok))
-        if not ok:
-            violations.append((path, value))
-    return violations, rows
-
-
-def run_bandwidth_floor_files(paths, floor):
-    """Checks each file's gb_s leaves against the absolute floor; worst exit
-    code wins. A file with no gb_s leaves is an error (wrong artifact)."""
-    worst = 0
-    for path in paths:
-        try:
-            with open(path) as f:
-                tree = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"bench_check: {err}", file=sys.stderr)
-            return 2
-        label = f" [{os.path.basename(path)}]"
-        violations, rows = check_bandwidth_floor(strip_manifest(tree, label), floor)
-        if not rows:
-            print(f"bench_check{label}: no gb_s keys found", file=sys.stderr)
-            worst = max(worst, 1)
-            continue
-        for leaf, value, ok in rows:
-            print(f"  {leaf}  {value:.2f} >= {floor:.2f} GB/s  "
-                  f"{'ok' if ok else 'VIOLATION'}")
-        if violations:
-            print(f"bench_check{label}: {len(violations)} bandwidth floor "
-                  f"violation(s)", file=sys.stderr)
-            worst = max(worst, 1)
-        else:
-            print(f"bench_check{label}: OK ({len(rows)} bandwidth(s) >= "
-                  f"{floor:.2f} GB/s)")
-    return worst
-
-
 def run_internal_files(paths):
-    """Checks each file's X >= X_min constraints; worst exit code wins."""
+    """Checks each file's X >= X_min / X <= X_max bounds and its "ok"
+    verdict; worst exit code wins."""
     worst = 0
     for path in paths:
         try:
@@ -209,6 +162,10 @@ def run_internal_files(paths):
         if violations:
             print(f"bench_check{label}: {len(violations)} internal bound "
                   f"violation(s)", file=sys.stderr)
+            worst = max(worst, 1)
+        elif isinstance(tree, dict) and tree.get("ok") is False:
+            print(f"bench_check{label}: the bench's own verdict is "
+                  f"\"ok\": false", file=sys.stderr)
             worst = max(worst, 1)
         else:
             print(f"bench_check{label}: OK ({len(rows)} internal bound(s) held)")
@@ -404,14 +361,6 @@ def self_test():
     expect(run_check(spmv, raised_floor, 0.15, 5.0, " [raised-floor]"), 0,
            "raising an internal floor must not pair-gate")
 
-    # Absolute bandwidth floors (--bandwidth-floor).
-    expect(1 if check_bandwidth_floor(spmv, 5.0)[0] else 0, 0,
-           "bandwidths above an absolute floor must pass")
-    expect(1 if check_bandwidth_floor(spmv, 20.0)[0] else 0, 1,
-           "a bandwidth below the absolute floor must fail")
-    expect(1 if check_bandwidth_floor({"a": {"wall_ms": 1.0}}, 5.0)[1] else 0, 0,
-           "no gb_s leaves yields no bandwidth rows")
-
     # Any "*_per_s" leaf gates as a throughput (the BENCH_requests.json
     # shape), and its "_min" sibling is an internal absolute floor.
     requests = {"lanes1": {"wall_ms": 800.0, "requests_per_s": 2.0e7},
@@ -490,16 +439,15 @@ def self_test():
                "--internal fails when any file violates a floor")
         expect(run_internal_files([os.path.join(tmp, "missing.json")]), 2,
                "--internal on an unreadable file is a usage error")
-        spmv_file = dump("spmv.json", spmv)
-        expect(run_bandwidth_floor_files([spmv_file], 5.0), 0,
-               "--bandwidth-floor passes when every gb_s clears it")
-        expect(run_bandwidth_floor_files([spmv_file], 20.0), 1,
-               "--bandwidth-floor fails on a bandwidth below it")
-        expect(run_bandwidth_floor_files([ok_file], 5.0), 1,
-               "--bandwidth-floor on a file with no gb_s keys is an error")
-        expect(run_bandwidth_floor_files([os.path.join(tmp, "missing.json")],
-                                         5.0), 2,
-               "--bandwidth-floor on an unreadable file is a usage error")
+        # The bench's own verdict: bounds that hold do not pass a file
+        # whose "ok" is false (e.g. "bit_identical": false, which has no
+        # bound leaf).
+        verdict_false = dict(sweep_ok, bit_identical=False, ok=False)
+        expect(run_internal_files([dump("verdict_false.json", verdict_false)]),
+               1, "--internal fails a file whose \"ok\" is false")
+        expect(run_internal_files([dump("verdict_true.json",
+                                        dict(sweep_ok, ok=True))]),
+               0, "--internal passes a file whose \"ok\" is true")
 
         # --append-history: seed, accumulate, and refuse to append a
         # regression (so the trajectory baseline cannot be poisoned).
@@ -553,11 +501,9 @@ def main():
     parser.add_argument("--floor-ms", type=float, default=5.0,
                         help="ignore timings below this many ms (default 5)")
     parser.add_argument("--internal", action="store_true",
-                        help="check each file's own X >= X_min floors instead "
-                             "of comparing baseline/candidate pairs")
-    parser.add_argument("--bandwidth-floor", type=float, metavar="GB_S",
-                        help="gate every *gb_s leaf in the given files "
-                             "against this absolute floor in GB/s")
+                        help="check each file's own X_min/X_max bounds and "
+                             "\"ok\" verdict instead of comparing "
+                             "baseline/candidate pairs")
     parser.add_argument("--append-history", action="store_true",
                         help="gate each file against its BENCH_*_history.jsonl "
                              "tail and append it as a new entry when clean")
@@ -570,10 +516,8 @@ def main():
 
     if args.self_test:
         return self_test()
-    if sum([args.internal, args.bandwidth_floor is not None,
-            args.append_history]) > 1:
-        parser.error("--internal, --bandwidth-floor and --append-history are "
-                     "separate modes")
+    if args.internal and args.append_history:
+        parser.error("--internal and --append-history are separate modes")
     if args.append_history:
         if not args.files:
             parser.error("--append-history requires at least one file")
@@ -583,10 +527,6 @@ def main():
         if not args.files:
             parser.error("--internal requires at least one file")
         return run_internal_files(args.files)
-    if args.bandwidth_floor is not None:
-        if not args.files:
-            parser.error("--bandwidth-floor requires at least one file")
-        return run_bandwidth_floor_files(args.files, args.bandwidth_floor)
     if len(args.files) < 2 or len(args.files) % 2 != 0:
         parser.error("an even number (>= 2) of files is required: "
                      "BASELINE CANDIDATE [BASELINE2 CANDIDATE2 ...] "
