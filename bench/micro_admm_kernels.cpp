@@ -1,44 +1,40 @@
-// Micro-benchmark of the ADMM hot-loop kernels (BENCH_admm.json).
+// Micro-benchmark of the ADMM solver and its sparse kernels
+// (BENCH_admm.json).
 //
 // Three experiments on a fig06-scale window QP (the Section VII environment,
 // 4 data centers x 24 cities, prediction horizon K = 20):
 //
-//  1. Kernel A/B: the pre-PR iteration body (per-iteration result-vector
-//     allocations, CSC products, scalar loops with in-loop divisions) against
-//     the fused workspace path (AdmmWorkspace buffers, vector_ops kernels,
-//     mirror products), run once per AVAILABLE SIMD tier (scalar / avx2 /
-//     avx512, forced via simd::set_active_tier and routed through the SELL
-//     mirrors exactly like the solver). All runs consume identical synthetic
-//     KKT-solve outputs — the triangular solve itself is excluded, it is
-//     shared by both paths — so the final iterates must be BIT-identical on
-//     EVERY tier; the speedup is the iteration-throughput gate (>= 1.3x).
-//     dot_reassoc, the one documented-tolerance kernel, gets a cross-check
-//     lane against the exact single-chain dot instead.
-//  2. Full-solver timing: a cold solve (structure build) and a warm re-solve
-//     (structure + factorization reuse) with ns/iteration and the alloc-probe
-//     count of heap allocations inside the hot loop. This binary installs
-//     operator new/delete hooks, so the warm count must be exactly zero.
-//  3. SpMV bandwidth: cold CSC A^T y (allocating, column-gather) vs the CSR
-//     mirror's A^T y (row-streaming) and A x (row-gather) vs the SELL
-//     mirrors on each tier, in effective GB/s with
-//     bytes = 12 * nnz + 8 * (rows + cols) per product. On hardware with a
-//     vector tier, the best SELL tier must beat the scalar-mirror pair by
-//     >= 1.25x (the floor travels as spmv.vector_speedup_min, 0.0 — i.e.
-//     informational — when no vector ISA is available).
+//  1. Full solver once per AVAILABLE SIMD tier (scalar / avx2 / avx512,
+//     forced via simd::set_active_tier), each on a fresh AdmmSolver: a cold
+//     solve (structure build) and a warm re-solve (structure +
+//     factorization reuse) with ns/iteration and the alloc-probe count of
+//     heap allocations inside the hot loop. This binary installs operator
+//     new/delete hooks, so every warm count must be exactly zero. The tier
+//     only picks the kernels, so iterations, x and y must be BIT-identical
+//     across tiers; the entry tier's run is the headline solver.cold /
+//     solver.warm. dot_reassoc, the one documented-tolerance kernel, gets a
+//     cross-check lane against the exact single-chain dot instead.
+//  2. SpMV bandwidth: cold CSC A^T y (allocating, column-gather) vs the SELL
+//     mirrors the solver runs, A x and A^T y on each tier, in effective GB/s
+//     with bytes = 12 * nnz + 8 * (rows + cols) per product, bitwise-checked
+//     against the CSC products. On hardware with a vector tier, the best
+//     vector SELL pair must beat the scalar SELL pair (what a scalar-tier
+//     solve runs) by >= 1.25x (the floor travels as
+//     spmv.vector_speedup_min, 0.0 — i.e. informational — when no vector
+//     ISA is available).
 //
 // The `wall_ms` / `gb_s` keys in BENCH_admm.json are the ones
-// tools/bench_check.py gates on in pair mode, and the `*_min` keys
-// (kernels.speedup_min, spmv.vector_speedup_min) are the floors
-// `bench_check.py --internal` enforces; other ratios and counters are
-// informational.
+// tools/bench_check.py gates on in pair mode, and spmv.vector_speedup_min is
+// the floor `bench_check.py --internal` enforces; other ratios and counters
+// are informational.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
-#include <span>
 #include <vector>
 
 #include "common/alloc_probe.hpp"
@@ -74,9 +70,7 @@ namespace {
 
 using gp::bench::Clock;
 using gp::bench::ms_since;
-using gp::linalg::RowMajorMirror;
 using gp::linalg::Vector;
-using gp::qp::kInfinity;
 
 /// The fig06-scale window program: full Section VII environment at the
 /// longest horizon family of Fig. 6 (K = 20).
@@ -94,9 +88,8 @@ gp::dspp::WindowProgram build_window(std::size_t horizon) {
   return {scenario.model, pairs, std::move(inputs)};
 }
 
-/// Deterministic synthetic KKT-solve output: what both kernel paths consume
-/// in place of the (shared, excluded) triangular solve. splitmix64-style.
-Vector synth_solution(std::size_t size, std::uint64_t seed) {
+/// Deterministic pseudo-random vector in [-0.5, 0.5). splitmix64-style.
+Vector synth_vector(std::size_t size, std::uint64_t seed) {
   Vector out(size);
   std::uint64_t s = seed;
   for (double& v : out) {
@@ -109,248 +102,35 @@ Vector synth_solution(std::size_t size, std::uint64_t seed) {
   return out;
 }
 
-/// Pre-PR max-norm: single running maximum (a ~4-cycle loop-carried chain),
-/// exactly as linalg::norm_inf was written before the multi-lane rewrite.
-double legacy_norm_inf(const Vector& a) {
-  double best = 0.0;
-  for (double v : a) best = std::max(best, std::abs(v));
-  return best;
+/// Bitwise (0 ULP) equality; operator== would conflate +0.0 with -0.0.
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Pre-PR CSC A^T x: per-term accumulation without the zero-term skip the
-/// library kernels gained in this change (the values agree bitwise unless a
-/// product underflows to a signed zero, which the bit-identity check below
-/// would catch).
-Vector legacy_multiply_transposed(const gp::linalg::SparseMatrix& a, const Vector& x) {
-  Vector y(static_cast<std::size_t>(a.cols()), 0.0);
-  const auto col_ptr = a.col_ptr();
-  const auto row_idx = a.row_idx();
-  const auto values = a.values();
-  for (std::int32_t c = 0; c < a.cols(); ++c) {
-    double acc = 0.0;
-    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-      acc += values[p] * x[static_cast<std::size_t>(row_idx[p])];
-    }
-    y[static_cast<std::size_t>(c)] = acc;
+/// Same iteration count and bitwise-equal x and y.
+bool same_result(const gp::qp::QpResult& a, const gp::qp::QpResult& b) {
+  return a.iterations == b.iterations && same_bits(a.x, b.x) && same_bits(a.y, b.y);
+}
+
+/// A cold solve on a fresh solver, then a timed warm re-solve of the same
+/// problem (structure cache and factorization reuse).
+struct SolverRun {
+  gp::qp::QpResult cold, warm;
+  double cold_ms = 0.0, warm_ms = 0.0;
+  double warm_ns_per_iteration() const {
+    return warm.iterations > 0 ? warm_ms * 1e6 / warm.iterations : 0.0;
   }
-  return y;
-}
-
-/// Final iterates plus a checksum over every residual/certificate scalar the
-/// run produced; the legacy and fused runs must agree on all of it bitwise.
-struct KernelRun {
-  Vector x, z, y;
-  double sink = 0.0;
-  double wall_ms = 0.0;
-  long long loop_allocs = 0;
-  int iterations = 0;
 };
 
-bool bit_identical(const KernelRun& a, const KernelRun& b) {
-  return a.x == b.x && a.z == b.z && a.y == b.y && a.sink == b.sink;
-}
-
-/// The pre-PR iteration body: a faithful transcription of the hot loop as it
-/// stood before the workspace refactor — fresh result vectors from
-/// SparseMatrix::multiply / multiply_transposed / project_box every
-/// iteration, and residual scalings recomputed as 1/e_i, 1/d_j in-loop.
-KernelRun run_legacy(const gp::qp::QpProblem& problem, const gp::qp::AdmmSettings& settings,
-                     const Vector& rho, const Vector& e_scale, const Vector& d_scale,
-                     double cost_scale, const std::vector<Vector>& solves, int iters) {
-  namespace linalg = gp::linalg;
-  const std::size_t n = problem.num_variables();
-  const std::size_t m = problem.num_constraints();
-  KernelRun run;
-  Vector x(n, 0.0), z(m, 0.0), y(m, 0.0);
-  Vector x_prev(n, 0.0), y_prev(m, 0.0);
-  Vector rhs(n + m, 0.0);
-  double sink = 0.0;
-
-  const auto start = Clock::now();
-  const long long allocs_before = gp::alloc_probe_count();
-  for (int iteration = 0; iteration < iters; ++iteration) {
-    x_prev = x;
-    y_prev = y;
-
-    for (std::size_t j = 0; j < n; ++j) rhs[j] = settings.sigma * x[j] - problem.q[j];
-    for (std::size_t i = 0; i < m; ++i) rhs[n + i] = z[i] - y[i] / rho[i];
-    // Stand-in for kkt.solve_in_place(rhs): identical bytes on both paths.
-    const Vector& solved = solves[static_cast<std::size_t>(iteration) % solves.size()];
-    std::copy(solved.begin(), solved.end(), rhs.begin());
-
-    Vector z_tilde(m);
-    for (std::size_t i = 0; i < m; ++i) z_tilde[i] = z[i] + (rhs[n + i] - y[i]) / rho[i];
-
-    const double alpha = settings.alpha;
-    for (std::size_t j = 0; j < n; ++j) x[j] = alpha * rhs[j] + (1.0 - alpha) * x[j];
-    Vector z_candidate(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      z_candidate[i] = alpha * z_tilde[i] + (1.0 - alpha) * z[i] + y[i] / rho[i];
-    }
-    const Vector z_next = linalg::project_box(z_candidate, problem.lower, problem.upper);
-    for (std::size_t i = 0; i < m; ++i) y[i] = rho[i] * (z_candidate[i] - z_next[i]);
-    z = z_next;
-
-    // Residuals, every iteration (check cadence 1 keeps the A/B symmetric).
-    const Vector ax = problem.a.multiply(x);
-    const Vector px = problem.p.multiply(x);
-    const Vector aty = legacy_multiply_transposed(problem.a, y);
-    double prim_res = 0.0, prim_norm = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double inv_e = 1.0 / e_scale[i];
-      prim_res = std::max(prim_res, std::abs(ax[i] - z[i]) * inv_e);
-      prim_norm = std::max({prim_norm, std::abs(ax[i]) * inv_e, std::abs(z[i]) * inv_e});
-    }
-    double dual_res = 0.0, dual_norm = 0.0;
-    const double inv_c = 1.0 / cost_scale;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double inv_d = 1.0 / d_scale[j];
-      dual_res = std::max(dual_res, std::abs(px[j] + problem.q[j] + aty[j]) * inv_d * inv_c);
-      dual_norm = std::max({dual_norm, std::abs(px[j]) * inv_d * inv_c,
-                            std::abs(aty[j]) * inv_d * inv_c,
-                            std::abs(problem.q[j]) * inv_d * inv_c});
-    }
-    sink += prim_res + prim_norm + dual_res + dual_norm;
-
-    // Infeasibility-certificate products (no early exit: checksum instead).
-    Vector delta_y(m), delta_x(n);
-    for (std::size_t i = 0; i < m; ++i) delta_y[i] = y[i] - y_prev[i];
-    for (std::size_t j = 0; j < n; ++j) delta_x[j] = x[j] - x_prev[j];
-    const double delta_y_norm = legacy_norm_inf(delta_y);
-    if (delta_y_norm > settings.eps_infeasible) {
-      const Vector at_dy = legacy_multiply_transposed(problem.a, delta_y);
-      double support = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double dy = delta_y[i];
-        if (dy > 0 && problem.upper[i] != kInfinity) support += problem.upper[i] * dy;
-        if (dy < 0 && problem.lower[i] != -kInfinity) support += problem.lower[i] * dy;
-      }
-      sink += legacy_norm_inf(at_dy) + support;
-    }
-    const double delta_x_norm = legacy_norm_inf(delta_x);
-    if (delta_x_norm > settings.eps_infeasible) {
-      const Vector p_dx = problem.p.multiply(delta_x);
-      const Vector a_dx = problem.a.multiply(delta_x);
-      sink += legacy_norm_inf(p_dx) + legacy_norm_inf(a_dx) +
-              linalg::dot(problem.q, delta_x);
-    }
-  }
-  run.loop_allocs = gp::alloc_probe_count() - allocs_before;
-  run.wall_ms = ms_since(start);
-  run.x = std::move(x);
-  run.z = std::move(z);
-  run.y = std::move(y);
-  run.sink = sink;
-  run.iterations = iters;
-  return run;
-}
-
-/// The post-PR iteration body: AdmmWorkspace buffers, fused vector_ops
-/// kernels, CSR-mirror products, reciprocal scalings hoisted out of the loop.
-/// Must reproduce run_legacy bit-for-bit.
-KernelRun run_fused(const gp::qp::QpProblem& problem, const gp::qp::AdmmSettings& settings,
-                    const Vector& rho, const Vector& e_scale, const Vector& d_scale,
-                    double cost_scale, const std::vector<Vector>& solves, int iters) {
-  namespace linalg = gp::linalg;
-  const std::size_t n = problem.num_variables();
-  const std::size_t m = problem.num_constraints();
-  KernelRun run;
-  gp::qp::AdmmWorkspace ws;
-  ws.resize(n, m);
-  const RowMajorMirror mirror(problem.a);
-  // Route the A products exactly as the solver does: SELL mirrors on the
-  // vector tiers, the CSR mirror on scalar (built OUTSIDE the timed loop).
-  const bool vector_spmv =
-      gp::linalg::simd::active_tier() != gp::linalg::simd::Tier::kScalar;
-  gp::linalg::SellMirror a_sell, at_sell;
-  if (vector_spmv) {
-    a_sell.build(problem.a);
-    at_sell.build_transposed(problem.a);
-  }
-  for (std::size_t j = 0; j < n; ++j) ws.inv_d[j] = 1.0 / d_scale[j];
-  for (std::size_t i = 0; i < m; ++i) ws.inv_e[i] = 1.0 / e_scale[i];
-  const double inv_c = 1.0 / cost_scale;
-  const std::span<const double> rhs_x(ws.rhs.data(), n);
-  const std::span<const double> rhs_nu(ws.rhs.data() + n, m);
-  double sink = 0.0;
-
-  const auto start = Clock::now();
-  const long long allocs_before = gp::alloc_probe_count();
-  for (int iteration = 0; iteration < iters; ++iteration) {
-    for (std::size_t j = 0; j < n; ++j) ws.rhs[j] = settings.sigma * ws.x[j] - problem.q[j];
-    for (std::size_t i = 0; i < m; ++i) {
-      const double yr = ws.y[i] / rho[i];
-      ws.y_over_rho[i] = yr;
-      ws.rhs[n + i] = ws.z[i] - yr;
-    }
-    const Vector& solved = solves[static_cast<std::size_t>(iteration) % solves.size()];
-    std::copy(solved.begin(), solved.end(), ws.rhs.begin());
-
-    linalg::admm_z_tilde(ws.z, rhs_nu, ws.y, rho, ws.z_tilde);
-
-    const double alpha = settings.alpha;
-    const double delta_x_norm = linalg::axpby_delta(alpha, rhs_x, 1.0 - alpha, ws.x, ws.delta_x);
-    linalg::admm_z_candidate_cached(alpha, ws.z_tilde, ws.z, ws.y_over_rho, ws.z_candidate);
-    linalg::project_box_into(ws.z_candidate, problem.lower, problem.upper, ws.z_next);
-    const double delta_y_norm =
-        linalg::admm_dual_update_delta(rho, ws.z_candidate, ws.z_next, ws.y, ws.delta_y);
-    std::swap(ws.z, ws.z_next);
-
-    if (vector_spmv) {
-      a_sell.multiply_into(1.0, ws.x, ws.ax);
-    } else {
-      mirror.multiply_into(1.0, ws.x, ws.ax);
-    }
-    std::fill(ws.px.begin(), ws.px.end(), 0.0);
-    problem.p.multiply_accumulate(1.0, ws.x, ws.px);
-    if (vector_spmv) {
-      at_sell.multiply_into(1.0, ws.y, ws.aty);
-    } else {
-      std::fill(ws.aty.begin(), ws.aty.end(), 0.0);
-      mirror.multiply_transposed_accumulate(1.0, ws.y, ws.aty);
-    }
-
-    double prim_res = 0.0, prim_norm = 0.0;
-    linalg::inf_norm_scaled_residual(ws.ax, ws.z, ws.inv_e, prim_res, prim_norm);
-    double dual_res = 0.0, dual_norm = 0.0;
-    linalg::inf_norm_scaled_residual3(ws.px, problem.q, ws.aty, ws.inv_d, inv_c, dual_res,
-                                      dual_norm);
-    sink += prim_res + prim_norm + dual_res + dual_norm;
-
-    if (delta_y_norm > settings.eps_infeasible) {
-      if (vector_spmv) {
-        at_sell.multiply_into(1.0, ws.delta_y, ws.at_dy);
-      } else {
-        std::fill(ws.at_dy.begin(), ws.at_dy.end(), 0.0);
-        mirror.multiply_transposed_accumulate(1.0, ws.delta_y, ws.at_dy);
-      }
-      double support = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double dy = ws.delta_y[i];
-        if (dy > 0 && problem.upper[i] != kInfinity) support += problem.upper[i] * dy;
-        if (dy < 0 && problem.lower[i] != -kInfinity) support += problem.lower[i] * dy;
-      }
-      sink += linalg::norm_inf(ws.at_dy) + support;
-    }
-    if (delta_x_norm > settings.eps_infeasible) {
-      std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
-      problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
-      if (vector_spmv) {
-        a_sell.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      } else {
-        mirror.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      }
-      sink += linalg::norm_inf(ws.p_dx) + linalg::norm_inf(ws.a_dx) +
-              linalg::dot(problem.q, ws.delta_x);
-    }
-  }
-  run.loop_allocs = gp::alloc_probe_count() - allocs_before;
-  run.wall_ms = ms_since(start);
-  run.x = ws.x;
-  run.z = ws.z;
-  run.y = ws.y;
-  run.sink = sink;
-  run.iterations = iters;
+SolverRun cold_then_warm(gp::qp::AdmmSolver& solver, const gp::qp::QpProblem& problem) {
+  SolverRun run;
+  auto start = Clock::now();
+  run.cold = solver.solve(problem);
+  run.cold_ms = ms_since(start);
+  start = Clock::now();
+  run.warm = solver.solve(problem);
+  run.warm_ms = ms_since(start);
   return run;
 }
 
@@ -368,8 +148,6 @@ double gbps(const gp::linalg::SparseMatrix& a, double wall_ms, int reps) {
 int main() {
   namespace simd = gp::linalg::simd;
   constexpr std::size_t kHorizon = 20;
-  constexpr int kIters = 300;
-  constexpr int kReps = 5;
   constexpr int kSpmvReps = 400;
 
   // The tier the dispatcher picked at startup (GEOPLACE_SIMD respected);
@@ -384,64 +162,54 @@ int main() {
   const gp::qp::QpProblem& problem = program.problem();
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
+  const gp::qp::AdmmSettings settings;
 
-  gp::qp::AdmmSettings settings;
-  // Per-row rho exactly as the solver initializes it.
-  Vector rho(m, settings.rho);
-  for (std::size_t i = 0; i < m; ++i) {
-    const bool equality = problem.lower[i] == problem.upper[i];
-    const bool unbounded = problem.lower[i] == -kInfinity && problem.upper[i] == kInfinity;
-    if (equality) rho[i] = settings.rho * settings.rho_equality_scale;
-    if (unbounded) rho[i] = settings.rho * 1e-3;
-  }
-  // Identity residual scaling: the legacy path still pays its in-loop
-  // divisions, the fused path its hoisted reciprocals, and both agree.
-  const Vector e_scale(m, 1.0), d_scale(n, 1.0);
-  // A small bank of synthetic KKT-solve outputs keeps the iterates moving
-  // without either path paying for an actual triangular solve.
-  std::vector<Vector> solves;
-  for (std::uint64_t k = 0; k < 8; ++k) solves.push_back(synth_solution(n + m, 41 + k));
-
-  // --- 1. Kernel A/B, best of kReps timed runs of kIters iterations, the
-  //        fused path once per available SIMD tier. Reps interleave the
-  //        variants so they see the same cache/frequency conditions. ---
-  struct TierAb {
+  // --- 1. Full solver, once per tier on a fresh solver (no cross-tier
+  //        cache reuse): a cold solve, then a warm structure-cache re-solve.
+  //        The entry tier's run is the headline solver.cold / solver.warm.
+  struct TierSolve {
     simd::Tier tier = simd::Tier::kScalar;
-    KernelRun run;
+    SolverRun run;
   };
-  KernelRun legacy;
-  std::vector<TierAb> tier_ab(tiers.size());
-  for (int rep = 0; rep < kReps; ++rep) {
-    KernelRun l = run_legacy(problem, settings, rho, e_scale, d_scale, 1.0, solves, kIters);
-    if (rep == 0 || l.wall_ms < legacy.wall_ms) legacy = std::move(l);
-    for (std::size_t k = 0; k < tiers.size(); ++k) {
-      simd::set_active_tier(tiers[k]);
-      KernelRun f = run_fused(problem, settings, rho, e_scale, d_scale, 1.0, solves, kIters);
-      tier_ab[k].tier = tiers[k];
-      if (rep == 0 || f.wall_ms < tier_ab[k].run.wall_ms) tier_ab[k].run = std::move(f);
-    }
+  std::vector<TierSolve> tier_solves;
+  long long obs_allocs = 0;
+  long long obs_spmv_ns = 0;
+  double obs_spmv_gb_s = 0.0;
+  for (simd::Tier t : tiers) {
+    simd::set_active_tier(t);
+    gp::qp::AdmmSolver solver(settings);
+    tier_solves.push_back({t, cold_then_warm(solver, problem)});
+    if (t != entry_tier) continue;
+    // Instrumented re-solve: the obs counters the trace tooling watches.
+    auto& registry = gp::obs::Registry::global();
+    const bool registry_was_enabled = registry.enabled();
+    registry.set_enabled(true);
+    registry.reset_values();
+    (void)solver.solve(problem);
+    obs_allocs = registry.counter("admm.allocs").value();
+    obs_spmv_ns = registry.counter("admm.spmv_ns").value();
+    obs_spmv_gb_s = registry.gauge("admm.spmv_gb_s").value();
+    registry.set_enabled(registry_was_enabled);
   }
   simd::set_active_tier(entry_tier);
-
-  // Every tier must reproduce the legacy iterates bit-for-bit.
-  bool kernels_identical = std::isfinite(legacy.sink);
-  for (const TierAb& ab : tier_ab) {
-    kernels_identical = kernels_identical && bit_identical(legacy, ab.run);
+  const SolverRun* entry_ptr = nullptr;
+  bool tiers_identical = true;
+  bool tier_allocs_zero = true;
+  const SolverRun& ref = tier_solves.front().run;
+  for (const TierSolve& ts : tier_solves) {
+    if (ts.tier == entry_tier) entry_ptr = &ts.run;
+    tiers_identical = tiers_identical && same_result(ts.run.cold, ref.cold) &&
+                      same_result(ts.run.warm, ref.warm);
+    tier_allocs_zero = tier_allocs_zero && ts.run.warm.info.hot_loop_allocations == 0;
   }
-  // The headline fused numbers (and the 1.3x gate) use the ENTRY tier — the
-  // path a real solve on this machine/configuration takes.
-  const KernelRun* fused_ptr = &tier_ab.front().run;
-  for (const TierAb& ab : tier_ab) {
-    if (ab.tier == entry_tier) fused_ptr = &ab.run;
-  }
-  const KernelRun& fused = *fused_ptr;
-  const double speedup = fused.wall_ms > 0.0 ? legacy.wall_ms / fused.wall_ms : 0.0;
+  const SolverRun& entry = *entry_ptr;  // the entry tier is always available
+  const bool solves_ok = entry.cold.ok() && entry.warm.ok();
 
   // --- 1b. dot_reassoc cross-check lane: the one reassociated (documented-
   //         tolerance) kernel, checked on every tier against the exact
   //         single-chain dot with the bound |err| <= n * eps * sum|a_i b_i|.
-  const Vector dot_a = synth_solution(n + m, 101);
-  const Vector dot_b = synth_solution(n + m, 202);
+  const Vector dot_a = synth_vector(n + m, 101);
+  const Vector dot_b = synth_vector(n + m, 202);
   const double dot_exact = gp::linalg::dot(dot_a, dot_b);
   double dot_abs_sum = 0.0;
   for (std::size_t i = 0; i < dot_a.size(); ++i) {
@@ -458,38 +226,16 @@ int main() {
   simd::set_active_tier(entry_tier);
   const bool dot_ok = dot_max_err <= dot_tolerance;
 
-  // --- 2. Full solver: cold solve, then a warm structure-cache re-solve. ---
-  gp::qp::AdmmSolver solver(settings);
-  auto cold_start = Clock::now();
-  const gp::qp::QpResult cold = solver.solve(problem);
-  const double cold_ms = ms_since(cold_start);
-  auto warm_start = Clock::now();
-  const gp::qp::QpResult warm = solver.solve(problem);
-  const double warm_ms = ms_since(warm_start);
-  const bool solves_ok = cold.ok() && warm.ok();
-  const double warm_ns_per_iter =
-      warm.iterations > 0 ? warm_ms * 1e6 / warm.iterations : 0.0;
-
-  // Instrumented re-solve: the obs counters the trace tooling watches.
-  auto& registry = gp::obs::Registry::global();
-  const bool registry_was_enabled = registry.enabled();
-  registry.set_enabled(true);
-  registry.reset_values();
-  (void)solver.solve(problem);
-  const long long obs_allocs = registry.counter("admm.allocs").value();
-  const long long obs_spmv_ns = registry.counter("admm.spmv_ns").value();
-  const double obs_spmv_gb_s = registry.gauge("admm.spmv_gb_s").value();
-  registry.set_enabled(registry_was_enabled);
-
-  // --- 3. SpMV bandwidth: cold CSC A^T vs the CSR mirror vs the SELL
-  //        mirrors on every tier (both orientations, bitwise-checked). ---
-  const RowMajorMirror mirror(problem.a);
+  // --- 2. SpMV bandwidth: cold CSC A^T vs the SELL mirrors on every tier
+  //        (both orientations, bitwise-checked against the CSC products). ---
   gp::linalg::SellMirror a_sell, at_sell;
   a_sell.build(problem.a);
   at_sell.build_transposed(problem.a);
-  const Vector yv = synth_solution(m, 7);
-  const Vector xv = synth_solution(n, 9);
-  Vector acc_n(n, 0.0), acc_m(m, 0.0);
+  const Vector yv = synth_vector(m, 7);
+  const Vector xv = synth_vector(n, 9);
+  Vector ref_ax(m, 0.0), ref_aty(n, 0.0);
+  problem.a.multiply_accumulate(1.0, xv, ref_ax);
+  problem.a.multiply_transposed_accumulate(1.0, yv, ref_aty);
   Vector sell_n(n, 0.0), sell_m(m, 0.0);
   double guard = 0.0;
 
@@ -499,20 +245,6 @@ int main() {
     guard += aty[static_cast<std::size_t>(r) % n];
   }
   const double csc_at_ms = ms_since(t0);
-  t0 = Clock::now();
-  for (int r = 0; r < kSpmvReps; ++r) {
-    std::fill(acc_n.begin(), acc_n.end(), 0.0);
-    mirror.multiply_transposed_accumulate(1.0, yv, acc_n);
-    guard += acc_n[static_cast<std::size_t>(r) % n];
-  }
-  const double mirror_at_ms = ms_since(t0);
-  t0 = Clock::now();
-  for (int r = 0; r < kSpmvReps; ++r) {
-    std::fill(acc_m.begin(), acc_m.end(), 0.0);
-    mirror.multiply_accumulate(1.0, xv, acc_m);
-    guard += acc_m[static_cast<std::size_t>(r) % m];
-  }
-  const double mirror_ax_ms = ms_since(t0);
 
   // SELL per tier: the layout is tier-independent, only the kernel changes.
   struct TierSpmv {
@@ -527,7 +259,7 @@ int main() {
     row.tier = t;
     a_sell.multiply_into(1.0, xv, sell_m);
     at_sell.multiply_into(1.0, yv, sell_n);
-    sell_identical = sell_identical && sell_m == acc_m && sell_n == acc_n;
+    sell_identical = sell_identical && same_bits(sell_m, ref_ax) && same_bits(sell_n, ref_aty);
     t0 = Clock::now();
     for (int r = 0; r < kSpmvReps; ++r) {
       a_sell.multiply_into(1.0, xv, sell_m);
@@ -544,22 +276,23 @@ int main() {
   }
   simd::set_active_tier(entry_tier);
 
-  // Machine-aware bandwidth gate: the best vector SELL tier against the
-  // scalar CSR-mirror pair (one Ax + one A^T y — the per-check work the
-  // solver's residual section does). 0.0 floor = informational only.
-  const double mirror_pair_ms = mirror_ax_ms + mirror_at_ms;
+  // Machine-aware bandwidth gate: the best vector SELL pair against the
+  // scalar SELL pair (one Ax + one A^T y — the per-check work the solver's
+  // residual section does). 0.0 floor = informational only.
+  double scalar_pair_ms = 0.0;
   double best_vector_pair_ms = 0.0;
   for (const TierSpmv& row : tier_spmv) {
-    if (row.tier == simd::Tier::kScalar) continue;
     const double pair = row.ax_ms + row.at_ms;
-    if (best_vector_pair_ms == 0.0 || pair < best_vector_pair_ms) {
+    if (row.tier == simd::Tier::kScalar) {
+      scalar_pair_ms = pair;
+    } else if (best_vector_pair_ms == 0.0 || pair < best_vector_pair_ms) {
       best_vector_pair_ms = pair;
     }
   }
   const bool has_vector_tier = simd::tier_available(simd::Tier::kAvx2) ||
                                simd::tier_available(simd::Tier::kAvx512);
   const double vector_speedup =
-      best_vector_pair_ms > 0.0 ? mirror_pair_ms / best_vector_pair_ms : 0.0;
+      best_vector_pair_ms > 0.0 ? scalar_pair_ms / best_vector_pair_ms : 0.0;
   std::printf("# spmv guard %.3g\n", guard);  // keeps the timed products live
 
   gp::bench::Report report("BENCH_admm.json",
@@ -569,39 +302,31 @@ int main() {
   report.object("simd", {{"detected", simd::tier_name(simd::detected_tier())},
                          {"active", simd::tier_name(entry_tier)}});
   report.object("kernels");
-  report.record("iterations", kIters);
-  auto record_kernel = [&report](const char* key, const KernelRun& run) {
-    report.object(key, {{"wall_ms", run.wall_ms},
-                        {"ns_per_iteration", run.wall_ms * 1e6 / kIters},
-                        {"allocs_per_iteration", static_cast<double>(run.loop_allocs) / kIters}});
-  };
-  record_kernel("legacy", legacy);
-  record_kernel("fused", fused);
-  report.object("tiers");
-  for (const TierAb& ab : tier_ab) {
-    report.object(simd::tier_name(ab.tier), {{"wall_ms", ab.run.wall_ms},
-                                             {"ns_per_iteration", ab.run.wall_ms * 1e6 / kIters},
-                                             {"bit_identical", bit_identical(legacy, ab.run)}});
-  }
-  report.end();
   report.object("dot_reassoc", {{"max_abs_err", dot_max_err},
                                 {"tolerance", dot_tolerance},
                                 {"within_tolerance", dot_ok}});
-  report.floor("speedup", speedup, 1.3);
-  report.record("bit_identical", kernels_identical);
   report.end();
   report.object("solver");
-  report.object("cold", {{"wall_ms", cold_ms},
-                         {"iterations", cold.iterations},
-                         {"hot_loop_allocations", cold.info.hot_loop_allocations}});
-  report.object("warm", {{"wall_ms", warm_ms},
-                         {"iterations", warm.iterations},
-                         {"hot_loop_allocations", warm.info.hot_loop_allocations},
-                         {"ns_per_iteration", warm_ns_per_iter},
-                         {"factorization_skipped", warm.info.factorization_skipped}});
+  report.object("cold", {{"wall_ms", entry.cold_ms},
+                         {"iterations", entry.cold.iterations},
+                         {"hot_loop_allocations", entry.cold.info.hot_loop_allocations}});
+  report.object("warm", {{"wall_ms", entry.warm_ms},
+                         {"iterations", entry.warm.iterations},
+                         {"hot_loop_allocations", entry.warm.info.hot_loop_allocations},
+                         {"ns_per_iteration", entry.warm_ns_per_iteration()},
+                         {"factorization_skipped", entry.warm.info.factorization_skipped}});
   report.object("obs", {{"admm_allocs", obs_allocs},
                         {"admm_spmv_ns", obs_spmv_ns},
                         {"admm_spmv_gb_s", obs_spmv_gb_s}});
+  report.object("tiers");
+  for (const TierSolve& ts : tier_solves) {
+    report.object(simd::tier_name(ts.tier),
+                  {{"wall_ms", ts.run.warm_ms},
+                   {"ns_per_iteration", ts.run.warm_ns_per_iteration()},
+                   {"hot_loop_allocations", ts.run.warm.info.hot_loop_allocations}});
+  }
+  report.end();
+  report.record("bit_identical_across_tiers", tiers_identical);
   report.end();
   auto record_spmv = [&](const char* key, double wall_ms) {
     report.object(key, {{"wall_ms", wall_ms}, {"gb_s", gbps(problem.a, wall_ms, kSpmvReps)}});
@@ -609,8 +334,6 @@ int main() {
   report.object("spmv");
   report.record("reps", kSpmvReps);
   record_spmv("csc_at", csc_at_ms);
-  record_spmv("mirror_at", mirror_at_ms);
-  record_spmv("mirror_ax", mirror_ax_ms);
   report.object("sell");
   for (const TierSpmv& row : tier_spmv) {
     report.object(simd::tier_name(row.tier));
@@ -623,19 +346,14 @@ int main() {
   report.floor("vector_speedup", vector_speedup, has_vector_tier ? 1.25 : 0.0);
   report.end();
 
-  // Gate: cross-tier bit-identity (A/B and SELL products), the kernel and
-  // vector SpMV floors above, the dot_reassoc tolerance lane, zero fused
-  // hot-loop allocations (both in the A/B and in the real warm solve), and
-  // both real solves reaching optimality.
-  bool tier_allocs_zero = true;
-  for (const TierAb& ab : tier_ab) {
-    tier_allocs_zero = tier_allocs_zero && ab.run.loop_allocs == 0;
-  }
-  report.check("kernels_bit_identical", kernels_identical);
+  // Gate: cross-tier bit-identity (real solves and SELL products), the
+  // vector SpMV floor above, the dot_reassoc tolerance lane, zero warm
+  // hot-loop allocations on every tier, and the entry tier's solves
+  // reaching optimality.
+  report.check("solver_bit_identical_across_tiers", tiers_identical);
   report.check("sell_bit_identical", sell_identical);
   report.check("dot_reassoc_within_tolerance", dot_ok);
-  report.check("fused_loop_allocs_zero", tier_allocs_zero);
-  report.check("warm_hot_loop_allocs_zero", warm.info.hot_loop_allocations == 0);
+  report.check("warm_hot_loop_allocs_zero", tier_allocs_zero);
   report.check("solves_ok", solves_ok);
   return report.finish();
 }

@@ -16,10 +16,10 @@
 // around 1.0; the determinism check and the caching/warm-start wins are the
 // meaningful signal there. `cpus` in the JSON records what the machine
 // offered.
-#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "game/competition.hpp"
 #include "harness.hpp"
 #include "obs/manifest.hpp"
@@ -179,38 +179,46 @@ int main() {
       cached.wall_ms > 0.0 ? instrumented.wall_ms / cached.wall_ms : 0.0;
 
   // Profiler-armed lane: the same cached MPC workload, plain vs with the
-  // span-stack sampling profiler armed (obs/profiler.hpp). Best-of-N walls
-  // on both sides keep scheduler noise out of the ratio; the registry is
-  // off so the ratio isolates the profiler's own cost. Transparency means
-  // the armed run's artifacts are BIT-identical (total cost, iteration
-  // counts) — sampling must observe the solver, never steer it. The folded
-  // stacks land in BENCH_parallel.folded for gp_flame; the ≤5% overhead
-  // ceiling travels as overhead_ratio_max.
+  // span-stack sampling profiler armed (obs/profiler.hpp), in kOverheadPairs
+  // back-to-back pairs that alternate which side runs first, so drift in
+  // clock or load hits both sides alike. The ratio of the two medians is
+  // the overhead; the registry is off so it isolates the profiler's own
+  // cost. Transparency means every run's artifacts are BIT-identical to the
+  // cached run's (total cost, iteration counts) — sampling must observe the
+  // solver, never steer it. Each armed run rewrites BENCH_parallel.folded
+  // for gp_flame; the ≤5% overhead ceiling travels as overhead_ratio_max.
   registry.set_enabled(false);
-  constexpr int kOverheadReps = 3;
-  const MpcRun plain = run_mpc(true);
-  double plain_best = plain.wall_ms;
-  for (int r = 1; r < kOverheadReps; ++r) {
-    plain_best = std::min(plain_best, run_mpc(true).wall_ms);
-  }
-  // 499 Hz: plenty of samples over ~1s of armed workload, and on a
-  // single-core host the watcher's timer wakeups (each one preempts the
-  // solver) stay a small fraction of the 5% budget.
+  constexpr int kOverheadPairs = 5;
   auto& profiler = gp::obs::Profiler::global();
-  profiler.start("BENCH_parallel.folded", 499.0);
-  const MpcRun armed = run_mpc(true);
-  double armed_best = armed.wall_ms;
-  for (int r = 1; r < kOverheadReps; ++r) {
-    armed_best = std::min(armed_best, run_mpc(true).wall_ms);
+  std::vector<double> plain_ms, armed_ms;
+  unsigned long long profiler_samples = 0;
+  unsigned long long profiler_torn = 0;
+  bool profiler_transparent = true;
+  auto timed_run = [&](bool armed) {
+    // 499 Hz: plenty of samples over an armed run, and on a single-core
+    // host the watcher's timer wakeups (each one preempts the solver) stay
+    // a small fraction of the 5% budget.
+    if (armed) profiler.start("BENCH_parallel.folded", 499.0);
+    const MpcRun run = run_mpc(true);
+    if (armed) {
+      profiler.stop();
+      profiler_samples += profiler.total_samples();
+      profiler_torn += profiler.torn_samples();
+    }
+    (armed ? armed_ms : plain_ms).push_back(run.wall_ms);
+    profiler_transparent = profiler_transparent && run.total_cost == cached.total_cost &&
+                           run.admm_iterations == cached.admm_iterations &&
+                           run.unsolved == cached.unsolved;
+  };
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool armed_first = pair % 2 == 1;
+    timed_run(armed_first);
+    timed_run(!armed_first);
   }
-  profiler.stop();
   registry.set_enabled(registry_was_enabled);
-  const unsigned long long profiler_samples = profiler.total_samples();
-  const unsigned long long profiler_torn = profiler.torn_samples();
-  const bool profiler_transparent = armed.total_cost == plain.total_cost &&
-                                    armed.admm_iterations == plain.admm_iterations &&
-                                    armed.unsolved == plain.unsolved;
-  const double profiler_overhead_ratio = plain_best > 0.0 ? armed_best / plain_best : 0.0;
+  const double plain_median = gp::percentile(plain_ms, 50.0);
+  const double profiler_overhead_ratio =
+      plain_median > 0.0 ? gp::percentile(armed_ms, 50.0) / plain_median : 0.0;
 
   gp::bench::Report report("BENCH_parallel.json",
                            gp::obs::RunManifest::capture("perf_parallel"));

@@ -282,7 +282,7 @@ double dot_reassoc_t(const double* a, const double* b, std::size_t n) {
 // SELL SpMV: chunks of kSellChunk rows, entries j-major, zero-value pads
 // (sparse_simd.cpp documents why the pads are bitwise no-ops). Gathers x per
 // lane; per lane the term sequence and its association acc += v * (alpha * x)
-// match the scalar CSR mirror exactly.
+// match the CSC SparseMatrix products exactly.
 template <class V>
 void sell_multiply_into_t(const SellView& m, double alpha, const double* x, double* y) {
   constexpr int kW = static_cast<int>(V::width);

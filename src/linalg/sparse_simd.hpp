@@ -6,15 +6,16 @@
 // their x operands. Rows shorter than their chunk's widest row are padded
 // with value 0.0 and an in-range column index.
 //
-// Bit-identity with the scalar CSR mirror (RowMajorMirror::multiply_into on
-// the same matrix): per row, terms are consumed in the same ascending-column
-// order with the same acc += v * (alpha * x_c) association, and the two
-// paths differ only in terms that are exactly ±0 — the pads (v = 0.0) here,
-// and the skipped alpha * x_c == 0.0 terms there. Adding ±0 never changes an
+// Bit-identity with the CSC products: multiply_into equals zero-fill +
+// SparseMatrix::multiply_accumulate on the same matrix. Per row, terms are
+// consumed in the same ascending-column order with the same
+// acc += v * (alpha * x_c) association, and the two paths differ only in
+// terms that are exactly ±0 — the pads (v = 0.0) and the alpha * x_c == 0.0
+// terms here, which the CSC path skips. Adding ±0 never changes an
 // accumulator that starts at +0 (it can never become -0: a sum rounds to -0
 // only when both operands are -0), so for finite inputs the stored bits are
 // identical. The same argument covers the transposed orientation against
-// zero-fill + multiply_transposed_accumulate.
+// zero-fill + SparseMatrix::multiply_transposed_accumulate.
 //
 // The multiply kernels dispatch on the active SIMD tier (simd_dispatch.hpp)
 // and are bit-identical across tiers: each lane runs the same IEEE sequence,

@@ -6,7 +6,6 @@
 
 #include "common/alloc_probe.hpp"
 #include "common/error.hpp"
-#include "linalg/simd_dispatch.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -71,17 +70,14 @@ std::pair<double, double> kkt_residuals(const QpProblem& problem, const Vector& 
 }
 
 /// OSQP-style polish: equality-constrained QP on the active rows (see
-/// AdmmSettings::polish). `a_mirror` is the solver's CSR mirror of the
-/// UNSCALED constraint matrix: its rows are the columns of A^T, which is
-/// exactly what the active-set assembly below walks — so the per-polish
-/// problem.a.transposed() materialization is gone. Returns true and
+/// AdmmSettings::polish), on the UNSCALED problem. Returns true and
 /// overwrites (x, y) on success.
-bool polish_solution(const QpProblem& problem, const AdmmSettings& settings,
-                     const linalg::RowMajorMirror& a_mirror, Vector& x, Vector& y) {
+bool polish_solution(const QpProblem& problem, const AdmmSettings& settings, Vector& x,
+                     Vector& y) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
   Vector ax(m, 0.0);
-  a_mirror.multiply_accumulate(1.0, x, ax);
+  problem.a.multiply_accumulate(1.0, x, ax);
 
   // Detect the active set from the duals (sign convention: y > 0 pushes on
   // the upper bound) with a primal confirmation.
@@ -118,19 +114,23 @@ bool polish_solution(const QpProblem& problem, const AdmmSettings& settings,
   for (std::size_t j = 0; j < n; ++j) {
     triplets.push_back({static_cast<std::int32_t>(j), static_cast<std::int32_t>(j), reg});
   }
-  // Rows of A restricted to the active set, as columns n..n+k-1 (row r of
-  // the CSR mirror = column r of A^T, entries already sorted by variable).
-  const auto row_ptr = a_mirror.row_ptr();
-  const auto col_idx = a_mirror.col_idx();
-  const auto a_values = a_mirror.values();
+  // Rows of A restricted to the active set, as columns n..n+k-1: walk A's
+  // CSC columns and keep the entries whose row holds an active slot.
+  std::vector<std::int32_t> slot_of(m, -1);
   for (std::size_t r = 0; r < k; ++r) {
-    const std::int32_t row = active_rows[r];
-    for (std::int32_t e = row_ptr[static_cast<std::size_t>(row)];
-         e < row_ptr[static_cast<std::size_t>(row) + 1]; ++e) {
-      triplets.push_back({col_idx[static_cast<std::size_t>(e)],
-                          static_cast<std::int32_t>(n + r),
-                          a_values[static_cast<std::size_t>(e)]});
+    slot_of[static_cast<std::size_t>(active_rows[r])] = static_cast<std::int32_t>(r);
+  }
+  const auto col_ptr = problem.a.col_ptr();
+  const auto row_idx = problem.a.row_idx();
+  const auto a_values = problem.a.values();
+  for (std::int32_t c = 0; c < problem.a.cols(); ++c) {
+    for (std::int32_t e = col_ptr[c]; e < col_ptr[c + 1]; ++e) {
+      const std::int32_t slot = slot_of[static_cast<std::size_t>(row_idx[e])];
+      if (slot < 0) continue;
+      triplets.push_back({c, static_cast<std::int32_t>(n) + slot, a_values[e]});
     }
+  }
+  for (std::size_t r = 0; r < k; ++r) {
     triplets.push_back({static_cast<std::int32_t>(n + r), static_cast<std::int32_t>(n + r),
                         -reg});
   }
@@ -153,13 +153,16 @@ bool polish_solution(const QpProblem& problem, const AdmmSettings& settings,
     const Vector pxs = problem.p.multiply(xs);
     for (std::size_t j = 0; j < n; ++j) residual[j] -= pxs[j];
     // A_act^T nu contribution on the first block; A_act xs on the second.
-    for (std::size_t r = 0; r < k; ++r) {
-      const std::int32_t row = active_rows[r];
-      for (std::int32_t e = row_ptr[static_cast<std::size_t>(row)];
-           e < row_ptr[static_cast<std::size_t>(row) + 1]; ++e) {
-        const auto var = static_cast<std::size_t>(col_idx[static_cast<std::size_t>(e)]);
-        residual[var] -= a_values[static_cast<std::size_t>(e)] * nu[r];
-        residual[n + r] -= a_values[static_cast<std::size_t>(e)] * xs[var];
+    // Each variable takes its terms in ascending row, each active row in
+    // ascending column.
+    for (std::int32_t c = 0; c < problem.a.cols(); ++c) {
+      const auto var = static_cast<std::size_t>(c);
+      for (std::int32_t e = col_ptr[c]; e < col_ptr[c + 1]; ++e) {
+        const std::int32_t slot = slot_of[static_cast<std::size_t>(row_idx[e])];
+        if (slot < 0) continue;
+        const auto r = static_cast<std::size_t>(slot);
+        residual[var] -= a_values[e] * nu[r];
+        residual[n + r] -= a_values[e] * xs[var];
       }
     }
     const Vector correction = ldlt.solve(residual);
@@ -339,28 +342,17 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   for (std::size_t i = 0; i < m; ++i) ws.inv_e[i] = 1.0 / scaling.e[i];
   const double inv_c = 1.0 / scaling.cost_scale;
 
-  // CSR mirror of the scaled constraint matrix: pattern built once per
+  // SELL mirrors of the scaled A and A^T: pattern built once per
   // structure, values refreshed in place on every later solve.
-  if (a_mirror_.pattern_matches(problem.a)) {
-    a_mirror_.update_values(problem.a);
+  if (a_sell_.pattern_matches(problem.a)) {
+    a_sell_.update_values(problem.a);
   } else {
-    a_mirror_.build(problem.a);
+    a_sell_.build(problem.a);
   }
-  // On the vector SIMD tiers the same products run through SELL mirrors of
-  // A and A^T instead (bit-identical to the CSR paths — sparse_simd.hpp);
-  // pattern once, values refreshed per solve, never built on scalar runs.
-  const bool vector_spmv = linalg::simd::active_tier() != linalg::simd::Tier::kScalar;
-  if (vector_spmv) {
-    if (a_sell_.pattern_matches(problem.a)) {
-      a_sell_.update_values(problem.a);
-    } else {
-      a_sell_.build(problem.a);
-    }
-    if (at_sell_.pattern_matches(problem.a)) {
-      at_sell_.update_values(problem.a);
-    } else {
-      at_sell_.build_transposed(problem.a);
-    }
+  if (at_sell_.pattern_matches(problem.a)) {
+    at_sell_.update_values(problem.a);
+  } else {
+    at_sell_.build_transposed(problem.a);
   }
 
   // Per-row rho: stiffer on equality rows, zero-safe on free rows. When the
@@ -432,7 +424,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   if (warm_x_.size() == n && warm_y_.size() == m) {
     for (std::size_t j = 0; j < n; ++j) x[j] = warm_x_[j] / scaling.d[j];
     for (std::size_t i = 0; i < m; ++i) y[i] = warm_y_[i] * scaling.cost_scale / scaling.e[i];
-    a_mirror_.multiply_accumulate(1.0, x, ws.z);
+    a_sell_.multiply_into(1.0, x, ws.z);
     linalg::project_box_into(ws.z, problem.lower, problem.upper, ws.z);
   }
   warm_x_.clear();
@@ -495,23 +487,13 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
 
     if (!check) continue;
 
-    // --- Residuals in UNSCALED quantities, via the CSR mirror. ---
+    // --- Residuals in UNSCALED quantities, via the SELL mirrors. ---
     std::chrono::steady_clock::time_point spmv_start{};
     if (time_spmv) spmv_start = std::chrono::steady_clock::now();
-    if (vector_spmv) {
-      a_sell_.multiply_into(1.0, x, ws.ax);
-    } else {
-      a_mirror_.multiply_into(1.0, x, ws.ax);
-    }
+    a_sell_.multiply_into(1.0, x, ws.ax);
     std::fill(ws.px.begin(), ws.px.end(), 0.0);
     problem.p.multiply_accumulate(1.0, x, ws.px);
-    if (vector_spmv) {
-      // SELL overwrite == zero-fill + transposed-accumulate, bitwise.
-      at_sell_.multiply_into(1.0, y, ws.aty);
-    } else {
-      std::fill(ws.aty.begin(), ws.aty.end(), 0.0);
-      a_mirror_.multiply_transposed_accumulate(1.0, y, ws.aty);
-    }
+    at_sell_.multiply_into(1.0, y, ws.aty);
     if (time_spmv) {
       spmv_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                      std::chrono::steady_clock::now() - spmv_start)
@@ -560,12 +542,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     // --- Infeasibility certificates (on scaled deltas, normalized; the
     // deltas and their norms came out of the *_delta update kernels). ---
     if (delta_y_norm > settings_.eps_infeasible) {
-      if (vector_spmv) {
-        at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
-      } else {
-        std::fill(ws.at_dy.begin(), ws.at_dy.end(), 0.0);
-        a_mirror_.multiply_transposed_accumulate(1.0, ws.delta_y, ws.at_dy);
-      }
+      at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
       double support = 0.0;
       bool valid = true;
       for (std::size_t i = 0; i < m; ++i) {
@@ -588,11 +565,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     if (delta_x_norm > settings_.eps_infeasible) {
       std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
       problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
-      if (vector_spmv) {
-        a_sell_.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      } else {
-        a_mirror_.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      }
+      a_sell_.multiply_into(1.0, ws.delta_x, ws.a_dx);
       const double q_dx = linalg::dot(problem.q, ws.delta_x);
       bool certificate = linalg::norm_inf(ws.p_dx) <= settings_.eps_infeasible * delta_x_norm &&
                          q_dx <= -settings_.eps_infeasible * delta_x_norm;
@@ -658,8 +631,8 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   if (time_spmv && spmv_ns > 0 && spmv_sections > 0) {
     // Effective bandwidth of the residual-cadence SpMV section, using the
     // same per-product cost model as micro_admm_kernels' gbps() (12 bytes
-    // per stored entry + 8 per input/output element, true nnz — pads on the
-    // vector tiers are throughput, not work). bytes / ns == GB/s.
+    // per stored entry + 8 per input/output element, true nnz — SELL pads
+    // are throughput, not work). bytes / ns == GB/s.
     const auto nnz_a = static_cast<double>(problem.a.nnz());
     const auto nnz_p = static_cast<double>(problem.p.nnz());
     const double dm = static_cast<double>(m);
@@ -677,14 +650,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   for (std::size_t i = 0; i < m; ++i) result.y[i] = scaling.e[i] * y[i] / scaling.cost_scale;
   if (settings_.polish && result.status == SolveStatus::kOptimal) {
     obs::Span polish_span("admm.polish");
-    // Mirror of the UNSCALED constraint matrix (the polish works on the
-    // original problem); built once per structure, values refreshed here.
-    if (polish_mirror_.pattern_matches(original.a)) {
-      polish_mirror_.update_values(original.a);
-    } else {
-      polish_mirror_.build(original.a);
-    }
-    if (polish_solution(original, settings_, polish_mirror_, result.x, result.y)) {
+    if (polish_solution(original, settings_, result.x, result.y)) {
       const auto [primal, dual] = kkt_residuals(original, result.x, result.y);
       result.primal_residual = primal;
       result.dual_residual = dual;

@@ -139,20 +139,13 @@ class AdmmSolver final : public QpSolver {
   // in place (each -1/rho_i is the LAST entry of column n+i, because every
   // A^T-block row in that column is < n) instead of reassembling triplets.
   linalg::SparseMatrix kkt_upper_;
-  // CSR mirror of the SCALED constraint matrix: residual and certificate
-  // products run through it (pattern built once per structure, values
-  // refreshed allocation-free per solve).
-  linalg::RowMajorMirror a_mirror_;
-  // SELL mirrors of the SCALED constraint matrix (A and A^T orientations)
-  // for the vector SIMD tiers: the residual and certificate products route
-  // through them when active_tier() != scalar. Bit-identical to the CSR
-  // mirror paths (see sparse_simd.hpp), so tier choice never changes solver
-  // results. Built lazily — a scalar-pinned run never pays for them.
+  // SELL mirrors of the SCALED constraint matrix (A and A^T orientations):
+  // every residual, certificate and warm-start product runs through them.
+  // Pattern built once per structure, values refreshed allocation-free per
+  // solve. The SIMD tier only picks the kernel; all tiers are bit-identical
+  // (see sparse_simd.hpp), so tier choice never changes solver results.
   linalg::SellMirror a_sell_;
   linalg::SellMirror at_sell_;
-  // CSR mirror of the UNSCALED constraint matrix, built only when polish is
-  // enabled (replaces the per-polish problem.a.transposed()).
-  linalg::RowMajorMirror polish_mirror_;
   AdmmWorkspace workspace_;
   AdmmCacheStats cache_stats_;
 };

@@ -479,9 +479,11 @@ ReplayBundle bundle_from_json(const std::string& json) {
   return bundle;
 }
 
-void write_bundle(const ReplayBundle& bundle, const std::string& path) {
+bool write_bundle(const ReplayBundle& bundle, const std::string& path) {
   std::ofstream out(path);
-  if (out) out << to_json(bundle) << "\n";
+  out << to_json(bundle) << "\n";
+  out.close();
+  return !out.fail();
 }
 
 ReplayBundle read_bundle(const std::string& path) {

@@ -71,8 +71,9 @@ std::string to_json(const ReplayBundle& bundle);
 ReplayBundle bundle_from_json(const std::string& json);
 
 /// File round-trip; write throws nothing (best-effort like other dump
-/// paths), read throws PreconditionError when the file is missing/bad.
-void write_bundle(const ReplayBundle& bundle, const std::string& path);
+/// paths) and returns whether the whole bundle reached the file, read
+/// throws PreconditionError when the file is missing/bad.
+bool write_bundle(const ReplayBundle& bundle, const std::string& path);
 ReplayBundle read_bundle(const std::string& path);
 
 }  // namespace gp::scenario

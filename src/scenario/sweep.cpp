@@ -287,13 +287,25 @@ SweepResult SweepRunner::run() {
 
   // Failure capture: write a ReplayBundle per failed run, sequentially and
   // in grid order, so the set of bundle files is thread-count independent.
+  // The directory appears with the first failed run, so a healthy sweep
+  // leaves nothing behind. A directory or file that cannot be written costs
+  // its bundles (one stderr line each), never the sweep's results.
   if (!options_.failures_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.failures_dir, ec);
+    bool dir_ready = false;
     for (const RunRecord& record : result.runs) {
       const bool failed =
           record.summary.unsolved_periods > 0 || !record.audit_violations.empty();
       if (!failed) continue;
+      if (!dir_ready) {
+        std::error_code ec;
+        std::filesystem::create_directories(options_.failures_dir, ec);
+        if (ec) {
+          std::fprintf(stderr, "sweep: cannot create failures_dir %s: %s\n",
+                       options_.failures_dir.c_str(), ec.message().c_str());
+          break;
+        }
+        dir_ready = true;
+      }
       ReplayBundle bundle;
       bundle.manifest = result.manifest;
       bundle.scenario = grid_.scenarios[record.scenario_index];
@@ -318,8 +330,12 @@ SweepResult SweepRunner::run() {
       const std::string file = sweep_artifact_token(record.scenario) + "_" +
                                sweep_artifact_token(record.policy) + "_seed" +
                                std::to_string(record.seed) + ".replay.json";
-      write_bundle(bundle, (std::filesystem::path(options_.failures_dir) / file).string());
-      ++result.failure_bundles;
+      const std::string path = (std::filesystem::path(options_.failures_dir) / file).string();
+      if (write_bundle(bundle, path)) {
+        ++result.failure_bundles;
+      } else {
+        std::fprintf(stderr, "sweep: cannot write replay bundle %s\n", path.c_str());
+      }
     }
   }
 

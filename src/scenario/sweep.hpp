@@ -60,8 +60,9 @@ struct SweepOptions {
   bool keep_periods = false;
   /// When non-empty, every failed run (unsolved periods or audit
   /// violations) writes a ReplayBundle `<scenario>_<policy>_seed<N>.replay.json`
-  /// into this directory (created if missing). Bundles are written after
-  /// the parallel phase, in grid order.
+  /// into this directory, created with the first failed run (a healthy
+  /// sweep leaves no directory). Bundles are written after the parallel
+  /// phase, in grid order.
   std::string failures_dir;
   /// When non-empty AND the timeline is armed (GEOPLACE_TIMELINE /
   /// TimelineWriter::set_enabled), every run's per-period telemetry is

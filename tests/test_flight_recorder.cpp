@@ -399,8 +399,35 @@ TEST(SweepFlightRecorderTest, HealthySweepWritesNoBundles) {
   options.failures_dir = dir.string();
   const auto result = gp::scenario::SweepRunner(grid, options).run();
   EXPECT_EQ(result.failure_bundles, 0u);
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_FALSE(std::filesystem::exists(dir));  // created only for a failed run
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFlightRecorderTest, UnwritableFailuresDirCountsNoBundles) {
+  // The broken scenario of FailedCellWritesAReplayBundle, with failures_dir
+  // under a regular file: no bundle can be written, so none is counted, and
+  // the sweep's own results still come back.
+  gp::scenario::ScenarioSpec spec = gp::scenario::preset("ablation_small");
+  spec.name = "broken";
+  spec.capacity = 0.5;
+  spec.sim.periods = 3;
+  spec.sim.provision_initial = false;
+  gp::scenario::SweepGrid grid;
+  grid.scenarios = {spec};
+  grid.policies = {gp::scenario::PolicySpec{}};
+  grid.base_seed = 5;
+
+  const auto file = std::filesystem::temp_directory_path() / "gp_test_failures_file";
+  std::filesystem::remove_all(file);
+  std::ofstream(file) << "not a directory\n";
+  gp::scenario::SweepOptions options;
+  options.failures_dir = (file / "bundles").string();
+  const auto result = gp::scenario::SweepRunner(grid, options).run();
+  EXPECT_EQ(result.failure_bundles, 0u);
+  ASSERT_EQ(result.runs.size(), 1u);
+  EXPECT_EQ(result.runs[0].summary.unsolved_periods, 3);
+  EXPECT_TRUE(std::filesystem::is_regular_file(file));
+  std::filesystem::remove_all(file);
 }
 
 TEST(SweepFlightRecorderTest, CsvSidecarCarriesTheManifest) {

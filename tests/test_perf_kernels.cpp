@@ -1,11 +1,12 @@
 // Tests for the allocation-free ADMM hot loop and its kernels: bitwise
-// equivalence of the CSR mirror against the CSC reference products, of the
-// fused/multi-lane vector_ops kernels against naive scalar transcriptions,
-// the zero-heap-allocation contract of the warm iteration loop, and the
-// cross-tier SIMD contract — every production kernel and both SELL SpMV
-// orientations bit-identical on every available tier (scalar/avx2/avx512),
-// with the tail sweep n = 0..17 covering every vector-remainder shape, and
-// dot_reassoc (the one reassociated kernel) inside its documented tolerance.
+// equivalence of the fused/multi-lane vector_ops kernels against naive
+// scalar transcriptions, the zero-heap-allocation contract of the warm
+// iteration loop, and the cross-tier SIMD contract — every production
+// kernel bit-identical on every available tier (scalar/avx2/avx512), with
+// the tail sweep n = 0..17 covering every vector-remainder shape, both SELL
+// SpMV orientations bit-identical to the CSC reference products on every
+// tier, and dot_reassoc (the one reassociated kernel) inside its documented
+// tolerance.
 //
 // This binary installs counting operator new / operator delete so the
 // solver's SolveInfo::hot_loop_allocations field reports real measurements
@@ -61,7 +62,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace gp {
 namespace {
 
-using linalg::RowMajorMirror;
 using linalg::SparseMatrix;
 using linalg::Triplet;
 using linalg::Vector;
@@ -133,80 +133,6 @@ qp::QpProblem random_feasible_qp(std::size_t n, std::size_t m, Rng& rng) {
     problem.upper[r] = ax0[r] + rng.uniform(0.1, 1.0);
   }
   return problem;
-}
-
-// ------------------------------------------------ CSR mirror vs CSC products
-
-TEST(MirrorProducts, MultiplyMatchesCscBitwise) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    const auto rows = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const auto cols = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const SparseMatrix a = random_sparse(rows, cols, 0.25, rng);
-    const RowMajorMirror mirror(a);
-    const Vector x = random_with_zeros(static_cast<std::size_t>(cols), rng);
-    const double alpha = rng.uniform(-2.0, 2.0);
-
-    Vector csc(static_cast<std::size_t>(rows), 0.0);
-    a.multiply_accumulate(alpha, x, csc);
-    Vector via_mirror(static_cast<std::size_t>(rows), 0.0);
-    mirror.multiply_accumulate(alpha, x, via_mirror);
-    expect_bits_equal(csc, via_mirror);
-  }
-}
-
-TEST(MirrorProducts, MultiplyTransposedMatchesCscBitwise) {
-  for (std::uint64_t seed = 11; seed <= 18; ++seed) {
-    Rng rng(seed);
-    const auto rows = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const auto cols = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const SparseMatrix a = random_sparse(rows, cols, 0.25, rng);
-    const RowMajorMirror mirror(a);
-    const Vector x = random_with_zeros(static_cast<std::size_t>(rows), rng);
-    const double alpha = rng.uniform(-2.0, 2.0);
-
-    Vector csc(static_cast<std::size_t>(cols), 0.0);
-    a.multiply_transposed_accumulate(alpha, x, csc);
-    Vector via_mirror(static_cast<std::size_t>(cols), 0.0);
-    mirror.multiply_transposed_accumulate(alpha, x, via_mirror);
-    expect_bits_equal(csc, via_mirror);
-  }
-}
-
-TEST(MirrorProducts, MultiplyIntoMatchesFillThenAccumulate) {
-  Rng rng(21);
-  const SparseMatrix a = random_sparse(30, 25, 0.3, rng);
-  const RowMajorMirror mirror(a);
-  const Vector x = random_with_zeros(25, rng);
-
-  Vector filled(30, 0.0);
-  mirror.multiply_accumulate(1.5, x, filled);
-  Vector direct(30, 123.0);  // stale contents must be overwritten, not summed
-  mirror.multiply_into(1.5, x, direct);
-  expect_bits_equal(filled, direct);
-}
-
-TEST(MirrorProducts, UpdateValuesMatchesRebuild) {
-  Rng rng(31);
-  const SparseMatrix a = random_sparse(20, 15, 0.3, rng);
-  RowMajorMirror mirror(a);
-
-  // Same pattern, new values (scaling preserves sparsity structure).
-  SparseMatrix scaled = a;
-  Vector row_scale(20), col_scale(15);
-  for (auto& v : row_scale) v = rng.uniform(0.5, 2.0);
-  for (auto& v : col_scale) v = rng.uniform(0.5, 2.0);
-  scaled.scale_rows_cols(row_scale, col_scale);
-
-  ASSERT_TRUE(mirror.pattern_matches(scaled));
-  mirror.update_values(scaled);
-  const RowMajorMirror rebuilt(scaled);
-  ASSERT_EQ(mirror.nnz(), rebuilt.nnz());
-  const auto updated = mirror.values();
-  const auto fresh = rebuilt.values();
-  for (std::size_t k = 0; k < updated.size(); ++k) {
-    expect_bits_equal(updated[k], fresh[k]);
-  }
 }
 
 // -------------------------------------- multi-lane kernels vs scalar loops
@@ -558,7 +484,7 @@ TEST(SimdTiers, DotReassocWithinDocumentedTolerance) {
   }
 }
 
-TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {
+TEST(SimdTiers, SellMirrorBothOrientationsMatchCscBitwise) {
   TierGuard guard;
   const auto tiers = available_tiers();
   // Shapes straddling the 8-row SELL chunk (partial last chunk, exactly one
@@ -567,7 +493,6 @@ TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {
   for (const auto& shape : shapes) {
     Rng rng(3000 + static_cast<std::uint64_t>(shape[0]));
     const SparseMatrix a = random_sparse(shape[0], shape[1], 0.2, rng);
-    const RowMajorMirror mirror(a);
     linalg::SellMirror sell, sell_t;
     sell.build(a);
     sell_t.build_transposed(a);
@@ -575,10 +500,12 @@ TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {
     const Vector y = random_with_zeros(static_cast<std::size_t>(a.rows()), rng);
     const double alpha = rng.uniform(-2.0, 2.0);
 
+    // The CSC products accumulated from zero: the reference every tier's
+    // SELL overwrite must reproduce bit for bit.
     Vector ref_ax(static_cast<std::size_t>(a.rows()), 0.0);
-    mirror.multiply_into(alpha, x, ref_ax);
+    a.multiply_accumulate(alpha, x, ref_ax);
     Vector ref_aty(static_cast<std::size_t>(a.cols()), 0.0);
-    mirror.multiply_transposed_accumulate(alpha, y, ref_aty);
+    a.multiply_transposed_accumulate(alpha, y, ref_aty);
 
     for (simd::Tier t : tiers) {
       ASSERT_EQ(simd::set_active_tier(t), t);
