@@ -56,133 +56,20 @@ SparseMatrix build_kkt_upper(const SparseMatrix& p, const SparseMatrix& a, doubl
   return SparseMatrix::from_triplets(n + m, n + m, triplets);
 }
 
-/// Max-norm KKT residual pair (primal violation, dual stationarity).
-std::pair<double, double> kkt_residuals(const QpProblem& problem, const Vector& x,
-                                        const Vector& y) {
-  const double primal = problem.constraint_violation(x);
-  const Vector px = problem.p.multiply(x);
-  const Vector aty = problem.a.multiply_transposed(y);
-  double dual = 0.0;
-  for (std::size_t j = 0; j < problem.num_variables(); ++j) {
-    dual = std::max(dual, std::abs(px[j] + problem.q[j] + aty[j]));
-  }
-  return {primal, dual};
-}
+/// Reduced-system solves one polish may run: the first on the guessed
+/// active set, the rest after correcting it (see AdmmSettings::polish).
+constexpr int kPolishPasses = 10;
 
-/// OSQP-style polish: equality-constrained QP on the active rows (see
-/// AdmmSettings::polish), on the UNSCALED problem. Returns true and
-/// overwrites (x, y) on success.
-bool polish_solution(const QpProblem& problem, const AdmmSettings& settings, Vector& x,
-                     Vector& y) {
-  const std::size_t n = problem.num_variables();
-  const std::size_t m = problem.num_constraints();
-  Vector ax(m, 0.0);
-  problem.a.multiply_accumulate(1.0, x, ax);
-
-  // Detect the active set from the duals (sign convention: y > 0 pushes on
-  // the upper bound) with a primal confirmation.
-  std::vector<std::int32_t> active_rows;
-  std::vector<double> active_rhs;
-  for (std::size_t i = 0; i < m; ++i) {
-    const bool equality = problem.lower[i] == problem.upper[i];
-    const double span_tol =
-        1e-6 * (1.0 + std::max(std::abs(problem.lower[i]), std::abs(problem.upper[i])));
-    if (equality) {
-      active_rows.push_back(static_cast<std::int32_t>(i));
-      active_rhs.push_back(problem.upper[i]);
-    } else if (y[i] > 1e-10 && problem.upper[i] < kInfinity &&
-               ax[i] > problem.upper[i] - 1e3 * span_tol) {
-      active_rows.push_back(static_cast<std::int32_t>(i));
-      active_rhs.push_back(problem.upper[i]);
-    } else if (y[i] < -1e-10 && problem.lower[i] > -kInfinity &&
-               ax[i] < problem.lower[i] + 1e3 * span_tol) {
-      active_rows.push_back(static_cast<std::int32_t>(i));
-      active_rhs.push_back(problem.lower[i]);
-    }
+/// Unscaled max-norm bound violation of the scaled row activities `ax`:
+/// the QpProblem::constraint_violation of the unscaled point.
+double bound_violation(std::span<const double> ax, const QpProblem& scaled,
+                       std::span<const double> inv_e) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < ax.size(); ++i) {
+    worst = std::max(worst, (scaled.lower[i] - ax[i]) * inv_e[i]);
+    worst = std::max(worst, (ax[i] - scaled.upper[i]) * inv_e[i]);
   }
-  const std::size_t k = active_rows.size();
-
-  // Assemble the reduced KKT upper triangle [[P + dI, A_act^T], [A_act, -dI]].
-  const double reg = settings.polish_regularization;
-  std::vector<Triplet> triplets;
-  const auto pu = problem.p.upper_triangle();
-  for (std::int32_t c = 0; c < pu.cols(); ++c) {
-    for (std::int32_t e = pu.col_ptr()[c]; e < pu.col_ptr()[c + 1]; ++e) {
-      triplets.push_back({pu.row_idx()[e], c, pu.values()[e]});
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    triplets.push_back({static_cast<std::int32_t>(j), static_cast<std::int32_t>(j), reg});
-  }
-  // Rows of A restricted to the active set, as columns n..n+k-1: walk A's
-  // CSC columns and keep the entries whose row holds an active slot.
-  std::vector<std::int32_t> slot_of(m, -1);
-  for (std::size_t r = 0; r < k; ++r) {
-    slot_of[static_cast<std::size_t>(active_rows[r])] = static_cast<std::int32_t>(r);
-  }
-  const auto col_ptr = problem.a.col_ptr();
-  const auto row_idx = problem.a.row_idx();
-  const auto a_values = problem.a.values();
-  for (std::int32_t c = 0; c < problem.a.cols(); ++c) {
-    for (std::int32_t e = col_ptr[c]; e < col_ptr[c + 1]; ++e) {
-      const std::int32_t slot = slot_of[static_cast<std::size_t>(row_idx[e])];
-      if (slot < 0) continue;
-      triplets.push_back({c, static_cast<std::int32_t>(n) + slot, a_values[e]});
-    }
-  }
-  for (std::size_t r = 0; r < k; ++r) {
-    triplets.push_back({static_cast<std::int32_t>(n + r), static_cast<std::int32_t>(n + r),
-                        -reg});
-  }
-  const auto kkt = SparseMatrix::from_triplets(static_cast<std::int32_t>(n + k),
-                                               static_cast<std::int32_t>(n + k), triplets);
-  SparseLdlt ldlt;
-  if (ldlt.factor(kkt) != SparseLdlt::Status::kOk) return false;
-
-  // Solve with a few steps of iterative refinement against the UNregularized
-  // system (the standard trick to cancel the d-perturbation).
-  Vector rhs(n + k, 0.0);
-  for (std::size_t j = 0; j < n; ++j) rhs[j] = -problem.q[j];
-  for (std::size_t r = 0; r < k; ++r) rhs[n + r] = active_rhs[r];
-  Vector solution = ldlt.solve(rhs);
-  for (int step = 0; step < settings.polish_refinement_steps; ++step) {
-    // residual = rhs - K_exact * solution, where K_exact has no +/-d terms.
-    Vector residual = rhs;
-    Vector xs(solution.begin(), solution.begin() + static_cast<std::ptrdiff_t>(n));
-    Vector nu(solution.begin() + static_cast<std::ptrdiff_t>(n), solution.end());
-    const Vector pxs = problem.p.multiply(xs);
-    for (std::size_t j = 0; j < n; ++j) residual[j] -= pxs[j];
-    // A_act^T nu contribution on the first block; A_act xs on the second.
-    // Each variable takes its terms in ascending row, each active row in
-    // ascending column.
-    for (std::int32_t c = 0; c < problem.a.cols(); ++c) {
-      const auto var = static_cast<std::size_t>(c);
-      for (std::int32_t e = col_ptr[c]; e < col_ptr[c + 1]; ++e) {
-        const std::int32_t slot = slot_of[static_cast<std::size_t>(row_idx[e])];
-        if (slot < 0) continue;
-        const auto r = static_cast<std::size_t>(slot);
-        residual[var] -= a_values[e] * nu[r];
-        residual[n + r] -= a_values[e] * xs[var];
-      }
-    }
-    const Vector correction = ldlt.solve(residual);
-    for (std::size_t i = 0; i < solution.size(); ++i) solution[i] += correction[i];
-  }
-
-  Vector x_polished(solution.begin(), solution.begin() + static_cast<std::ptrdiff_t>(n));
-  Vector y_polished(m, 0.0);
-  for (std::size_t r = 0; r < k; ++r) {
-    y_polished[static_cast<std::size_t>(active_rows[r])] = solution[n + r];
-  }
-  // Accept only if the polished point is a strictly better KKT point.
-  const auto [p_old, d_old] = kkt_residuals(problem, x, y);
-  const auto [p_new, d_new] = kkt_residuals(problem, x_polished, y_polished);
-  if (std::max(p_new, d_new) < std::max(p_old, d_old)) {
-    x = std::move(x_polished);
-    y = std::move(y_polished);
-    return true;
-  }
-  return false;
+  return worst;
 }
 
 }  // namespace
@@ -415,6 +302,19 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
       result.status = SolveStatus::kNumericalError;
       return result;
     }
+    if (!use_cache && settings_.polish) {
+      // New structure: record where each A entry sits in the A^T block.
+      // Column n+i holds row i's entries in ascending column order, then
+      // the -1/rho diagonal, so walking A's columns in order fills it.
+      const auto kkt_col_ptr = kkt_upper_.col_ptr();
+      std::vector<std::int32_t> next(kkt_col_ptr.begin() + static_cast<std::ptrdiff_t>(n),
+                                     kkt_col_ptr.end() - 1);
+      const auto a_row = problem.a.row_idx();
+      a_kkt_position_.resize(a_row.size());
+      for (std::size_t e = 0; e < a_row.size(); ++e) {
+        a_kkt_position_[e] = next[static_cast<std::size_t>(a_row[e])]++;
+      }
+    }
   }
 
   Vector& x = ws.x;  // zeroed by ws.resize above
@@ -625,8 +525,15 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   }
 
   result.iterations = iteration;
-  result.info.hot_loop_allocations =
-      gp::alloc_probe_count() - allocs_at_loop_entry - excluded_allocs;
+  long long loop_allocs = gp::alloc_probe_count() - allocs_at_loop_entry - excluded_allocs;
+  bool polished = false;
+  if (settings_.polish && result.status == SolveStatus::kOptimal) {
+    obs::Span polish_span("admm.polish");
+    const long long allocs_at_polish = gp::alloc_probe_count();
+    polished = polish(original, problem, scaling, result);
+    loop_allocs += gp::alloc_probe_count() - allocs_at_polish;
+  }
+  result.info.hot_loop_allocations = loop_allocs;
   result.info.residual_spmv_ns = spmv_ns;
   if (time_spmv && spmv_ns > 0 && spmv_sections > 0) {
     // Effective bandwidth of the residual-cadence SpMV section, using the
@@ -643,18 +550,14 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
         .set(static_cast<double>(spmv_sections) * bytes_per_section /
              static_cast<double>(spmv_ns));
   }
-  // Unscale the solution: x = D x_s, y = E y_s / c.
+  // Unscale the (polished or loop) solution: x = D x_s, y = E y_s / c.
+  const Vector& x_out = polished ? ws.delta_x : x;
+  const Vector& y_out = polished ? ws.delta_y : y;
   result.x.assign(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) result.x[j] = scaling.d[j] * x[j];
+  for (std::size_t j = 0; j < n; ++j) result.x[j] = scaling.d[j] * x_out[j];
   result.y.assign(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) result.y[i] = scaling.e[i] * y[i] / scaling.cost_scale;
-  if (settings_.polish && result.status == SolveStatus::kOptimal) {
-    obs::Span polish_span("admm.polish");
-    if (polish_solution(original, settings_, result.x, result.y)) {
-      const auto [primal, dual] = kkt_residuals(original, result.x, result.y);
-      result.primal_residual = primal;
-      result.dual_residual = dual;
-    }
+  for (std::size_t i = 0; i < m; ++i) {
+    result.y[i] = scaling.e[i] * y_out[i] / scaling.cost_scale;
   }
   result.objective = original.objective(result.x);
   if (settings_.auto_warm_start &&
@@ -680,6 +583,150 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     cached_row_class_ = std::move(row_class);
   }
   return result;
+}
+
+bool AdmmSolver::polish(const QpProblem& original, const QpProblem& problem,
+                        const Scaling& scaling, QpResult& result) {
+  AdmmWorkspace& ws = workspace_;
+  const std::size_t n = problem.num_variables();
+  const std::size_t m = problem.num_constraints();
+  const double inv_c = 1.0 / scaling.cost_scale;
+  const double reg = settings_.polish_regularization;
+  // The loop is done with these; polish borrows them.
+  Vector& active = ws.a_dx;       // 1 on active rows, 0 on the rest
+  Vector& target = ws.z_tilde;    // scaled bound an active row is held at
+  Vector& x_diag = ws.at_dy;      // ADMM diagonal of the x block, P + sigma I
+  Vector& xs = ws.delta_x;        // polished scaled primal
+  Vector& nu = ws.delta_y;        // polished scaled dual
+
+  // KKT residuals of the ADMM iterate, from the converged check's products.
+  const double loop_residual =
+      std::max(bound_violation(ws.ax, problem, ws.inv_e),
+               linalg::inf_norm_scaled_sum3(ws.px, problem.q, ws.aty, ws.inv_d, inv_c));
+
+  // Active set from the unscaled duals (y > 0 pushes on the upper bound),
+  // confirmed by the unscaled row activity.
+  for (std::size_t i = 0; i < m; ++i) {
+    const double lower = original.lower[i];
+    const double upper = original.upper[i];
+    const double ax = ws.ax[i] * ws.inv_e[i];
+    const double yi = scaling.e[i] * ws.y[i] * inv_c;
+    const double span_tol = 1e-6 * (1.0 + std::max(std::abs(lower), std::abs(upper)));
+    active[i] = 1.0;
+    if (lower == upper ||
+        (yi > 1e-10 && upper < kInfinity && ax > upper - 1e3 * span_tol)) {
+      target[i] = problem.upper[i];
+    } else if (yi < -1e-10 && lower > -kInfinity && ax < lower + 1e3 * span_tol) {
+      target[i] = problem.lower[i];
+    } else {
+      active[i] = 0.0;
+      target[i] = 0.0;
+    }
+  }
+
+  // The reduced system [[P + reg I, A_act^T], [A_act, -reg I]] is written
+  // into kkt_upper_'s values on the cached pattern: inactive rows keep only
+  // a -1 diagonal, so their nu is 0. Every diagonal is the last entry of
+  // its upper-triangle column.
+  const auto col_ptr = kkt_upper_.col_ptr();
+  const std::span<double> values = kkt_upper_.mutable_values();
+  const auto diag = [&](std::size_t col) {
+    return static_cast<std::size_t>(col_ptr[col + 1]) - 1;
+  };
+  const auto a_values = problem.a.values();
+  const auto a_rows = problem.a.row_idx();
+  for (std::size_t j = 0; j < n; ++j) x_diag[j] = values[diag(j)];
+
+  bool factored = false;
+  bool settled = false;  // the last pass left the active set unchanged
+  for (int pass = 0; pass < kPolishPasses; ++pass) {
+    for (std::size_t j = 0; j < n; ++j) values[diag(j)] = x_diag[j] - settings_.sigma + reg;
+    for (std::size_t e = 0; e < a_values.size(); ++e) {
+      values[static_cast<std::size_t>(a_kkt_position_[e])] =
+          active[static_cast<std::size_t>(a_rows[e])] * a_values[e];
+    }
+    for (std::size_t i = 0; i < m; ++i) values[diag(n + i)] = active[i] != 0.0 ? -reg : -1.0;
+    ++cache_stats_.refactorizations;
+    ++result.info.factorizations;
+    factored = kkt_.refactor(kkt_upper_) == SparseLdlt::Status::kOk;
+    if (!factored) break;
+
+    // One solve plus refinement against the UNregularized reduced system
+    // (cancels the reg perturbation). Each pass recomputes the products of
+    // the current point; the last pass's feed the checks below.
+    Vector& rhs = ws.rhs;
+    for (std::size_t j = 0; j < n; ++j) rhs[j] = -problem.q[j];
+    for (std::size_t i = 0; i < m; ++i) rhs[n + i] = target[i];
+    kkt_.solve_in_place(rhs);
+    for (std::size_t j = 0; j < n; ++j) xs[j] = rhs[j];
+    for (std::size_t i = 0; i < m; ++i) nu[i] = active[i] * rhs[n + i];
+    for (int step = 0;; ++step) {
+      std::fill(ws.px.begin(), ws.px.end(), 0.0);
+      problem.p.multiply_accumulate(1.0, xs, ws.px);
+      at_sell_.multiply_into(1.0, nu, ws.aty);
+      a_sell_.multiply_into(1.0, xs, ws.ax);
+      if (step == settings_.polish_refinement_steps) break;
+      for (std::size_t j = 0; j < n; ++j) rhs[j] = -problem.q[j] - ws.px[j] - ws.aty[j];
+      for (std::size_t i = 0; i < m; ++i) rhs[n + i] = active[i] * (target[i] - ws.ax[i]);
+      kkt_.solve_in_place(rhs);
+      for (std::size_t j = 0; j < n; ++j) xs[j] += rhs[j];
+      for (std::size_t i = 0; i < m; ++i) nu[i] += active[i] * rhs[n + i];
+    }
+
+    // Primal-dual active-set correction: a row the guess left free but the
+    // polished point violates joins the active set at that bound; an
+    // inequality row held with a dual of the wrong sign is released.
+    bool changed = false;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (active[i] != 0.0) {
+        if (problem.lower[i] == problem.upper[i]) continue;
+        const double y_unscaled = scaling.e[i] * nu[i] * inv_c;
+        const double wrong_sign = target[i] == problem.upper[i] ? -y_unscaled : y_unscaled;
+        if (wrong_sign <= settings_.eps_abs) continue;
+        active[i] = 0.0;
+        target[i] = 0.0;
+      } else if ((problem.lower[i] - ws.ax[i]) * ws.inv_e[i] > settings_.eps_abs) {
+        active[i] = 1.0;
+        target[i] = problem.lower[i];
+      } else if ((ws.ax[i] - problem.upper[i]) * ws.inv_e[i] > settings_.eps_abs) {
+        active[i] = 1.0;
+        target[i] = problem.upper[i];
+      } else {
+        continue;
+      }
+      changed = true;
+    }
+    settled = !changed;
+    if (settled) break;
+  }
+
+  bool accepted = false;
+  if (factored && settled) {
+    const double primal = bound_violation(ws.ax, problem, ws.inv_e);
+    const double dual =
+        linalg::inf_norm_scaled_sum3(ws.px, problem.q, ws.aty, ws.inv_d, inv_c);
+    // Accept only a settled active set that yields a strictly better KKT
+    // point.
+    accepted = std::max(primal, dual) < loop_residual;
+    if (accepted) {
+      result.primal_residual = primal;
+      result.dual_residual = dual;
+    }
+  }
+
+  // Restore the ADMM values exactly as assembled (A from the scaled
+  // problem, -1/rho from the current rho) and refactor: the factor is then
+  // bit-identical to the loop's, so the structure cache and the
+  // values-unchanged skip stay valid.
+  for (std::size_t j = 0; j < n; ++j) values[diag(j)] = x_diag[j];
+  for (std::size_t e = 0; e < a_values.size(); ++e) {
+    values[static_cast<std::size_t>(a_kkt_position_[e])] = a_values[e];
+  }
+  for (std::size_t i = 0; i < m; ++i) values[diag(n + i)] = -1.0 / ws.rho[i];
+  ++cache_stats_.refactorizations;
+  ++result.info.factorizations;
+  kkt_.refactor(kkt_upper_);
+  return accepted;
 }
 
 void AdmmSolver::warm_start(Vector x, Vector y) {

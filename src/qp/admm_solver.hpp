@@ -9,6 +9,9 @@
 //
 // whose factorization is computed once and reused (and recomputed only when
 // rho adapts). Equality rows receive a stiffer rho than inequality rows.
+// The optional polish step re-solves the detected active set through the
+// same factor, with the KKT values rewritten in place (see
+// AdmmSettings::polish).
 // The solver reports unscaled primal/dual solutions, residuals, and detects
 // primal/dual infeasibility via the standard certificate conditions.
 #pragma once
@@ -20,7 +23,10 @@
 
 namespace gp::qp {
 
-/// Tuning knobs for AdmmSolver; the defaults follow OSQP's.
+/// Tuning knobs for AdmmSolver. The step-size, relaxation and adaptation
+/// defaults follow OSQP's; the tolerances are tighter than OSQP's 1e-3
+/// because polish is off by default. The MPC controller runs 1e-4 with
+/// polish on (control::MpcSettings::solver).
 struct AdmmSettings {
   double rho = 0.1;              ///< initial step size for inequality rows
   double rho_equality_scale = 1e3;  ///< equality rows use rho * this
@@ -43,9 +49,19 @@ struct AdmmSettings {
   bool auto_warm_start = false;
   /// After convergence, refine the solution by solving the equality-
   /// constrained QP on the detected active set (OSQP's "polish" step):
-  /// turns the first-order 1e-6-ish iterate into a near-exact KKT point,
-  /// which sharpens the capacity duals the competition game consumes. The
-  /// polish is accepted only when it actually reduces the KKT residuals.
+  /// turns the first-order iterate (eps-accurate) into a near-exact KKT
+  /// point, which sharpens the capacity duals the competition game consumes
+  /// and lets loose tolerances keep the tight solve's plan cost. The reduced
+  /// system is solved in scaled space through the solver's own KKT factor:
+  /// its values are rewritten in place (regularized active rows, decoupled
+  /// inactive rows), refactored on the cached pattern, refined against the
+  /// unregularized system, and then restored and refactored bit for bit —
+  /// no new ordering, symbolic analysis or heap allocation. The active set
+  /// is guessed from the iterate's duals, then corrected for up to nine more
+  /// solves: rows the polished point violates join it (a loose iterate can
+  /// hold x_i > 0 with a dual of exactly 0), rows held with a wrong-sign
+  /// dual leave it. The polish is accepted only when the active set has
+  /// settled and the KKT residuals actually drop.
   bool polish = false;
   double polish_regularization = 1e-9;
   int polish_refinement_steps = 3;
@@ -63,8 +79,9 @@ struct AdmmSettings {
 /// Solver-owned scratch for the ADMM iteration: every per-iteration vector
 /// lives here, sized once per problem shape and reused across solves (and
 /// across WindowProgram::update re-solves). After the sizing solve, the
-/// iteration loop performs ZERO heap allocations — enforced by the
-/// alloc-probe test (tests/test_perf_kernels) and reported per solve in
+/// iteration loop and the polish (which borrows the idle vectors) perform
+/// ZERO heap allocations — enforced by the alloc-probe test
+/// (tests/test_perf_kernels) and reported per solve in
 /// SolveInfo::hot_loop_allocations.
 struct AdmmWorkspace {
   linalg::Vector x, z, y;              // scaled iterates
@@ -117,6 +134,12 @@ class AdmmSolver final : public QpSolver {
  private:
   QpResult solve_with(const QpProblem& original, bool use_cache);
   bool cache_matches(const QpProblem& problem) const;
+  /// Polishes the converged scaled iterate in workspace_ (see
+  /// AdmmSettings::polish). On acceptance returns true, leaves the polished
+  /// scaled (x, y) in workspace_.delta_x / delta_y and its unscaled KKT
+  /// residuals in `result`. Always leaves kkt_ and kkt_upper_ as it found them.
+  bool polish(const QpProblem& original, const QpProblem& problem, const Scaling& scaling,
+              QpResult& result);
 
   AdmmSettings settings_;
   linalg::Vector warm_x_;  // unscaled; empty = none
@@ -139,6 +162,10 @@ class AdmmSolver final : public QpSolver {
   // in place (each -1/rho_i is the LAST entry of column n+i, because every
   // A^T-block row in that column is < n) instead of reassembling triplets.
   linalg::SparseMatrix kkt_upper_;
+  // Position in kkt_upper_'s values of each scaled A entry (A^T block), so
+  // polish can restore the rows it decoupled. Built with each fresh
+  // factorization (new structure) when polish is on.
+  std::vector<std::int32_t> a_kkt_position_;
   // SELL mirrors of the SCALED constraint matrix (A and A^T orientations):
   // every residual, certificate and warm-start product runs through them.
   // Pattern built once per structure, values refreshed allocation-free per

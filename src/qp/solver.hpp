@@ -32,15 +32,16 @@ std::string to_string(SolveStatus status);
 struct SolveInfo {
   int factorizations = 0;      ///< numeric factorizations in this solve
                                ///< (full or symbolic-reusing, incl. in-solve
-                               ///< rho-adaptation refactors)
+                               ///< rho-adaptation and polish refactors)
   int cache_hits = 0;          ///< 1 when cached scaling + symbolic analysis
                                ///< were reused (AdmmSolver structure hit)
   bool factorization_skipped = false;  ///< cached factor reused outright
   long long hot_loop_allocations = 0;  ///< heap allocations observed inside the
-                                       ///< ADMM iteration loop (alloc probe
-                                       ///< delta minus excluded trace/recorder
-                                       ///< segments; stays 0 unless the binary
-                                       ///< installs the gp::alloc_probe hook)
+                                       ///< ADMM iteration loop and the polish
+                                       ///< (alloc probe delta minus excluded
+                                       ///< trace/recorder segments; stays 0
+                                       ///< unless the binary installs the
+                                       ///< gp::alloc_probe hook)
   long long residual_spmv_ns = 0;      ///< wall ns spent in the residual /
                                        ///< certificate sparse products at the
                                        ///< check cadence (recorded only when

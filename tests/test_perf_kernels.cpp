@@ -287,6 +287,41 @@ TEST(AdmmHotLoop, WarmResolveMakesZeroHeapAllocations) {
       << "ADMM iteration loop allocated on a warm workspace";
 }
 
+TEST(AdmmHotLoop, PolishedWarmResolveMakesZeroHeapAllocations) {
+  // Polish rewrites the cached KKT values in place, refactors, solves, and
+  // restores and refactors again: a warm re-solve stays allocation-free
+  // across loop AND polish, runs no fresh factorization, and leaves the
+  // factor bit-identical (so the next solve still skips factorization and
+  // reproduces the same answer).
+  Rng rng(83);
+  const qp::QpProblem problem = random_feasible_qp(60, 45, rng);
+  qp::AdmmSettings settings;
+  settings.eps_abs = 1e-4;
+  settings.eps_rel = 1e-4;
+  settings.polish = true;
+  qp::AdmmSolver solver(settings);
+
+  const auto cold = solver.solve(problem);
+  ASSERT_EQ(cold.status, qp::SolveStatus::kOptimal);
+  ASSERT_GT(alloc_probe_count(), 0);
+  const long long full_factorizations = solver.cache_stats().full_factorizations;
+
+  const auto warm = solver.solve(problem);
+  ASSERT_EQ(warm.status, qp::SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.info.factorization_skipped);
+  EXPECT_GE(warm.info.factorizations, 2) << "polish did not run";
+  EXPECT_EQ(warm.info.hot_loop_allocations, 0)
+      << "ADMM loop or polish allocated on a warm workspace";
+  EXPECT_EQ(solver.cache_stats().full_factorizations, full_factorizations);
+  EXPECT_LE(problem.constraint_violation(warm.x), 1e-9) << "polish was not accepted";
+  expect_bits_equal(cold.x, warm.x);
+  expect_bits_equal(cold.y, warm.y);
+
+  const auto again = solver.solve(problem);
+  EXPECT_TRUE(again.info.factorization_skipped);
+  expect_bits_equal(warm.x, again.x);
+}
+
 TEST(AdmmHotLoop, WorkspaceReuseAcrossShrinkingProblemsStaysAllocationFree) {
   // A larger solve sizes the workspace; a smaller one must fit inside the
   // existing capacity (vector::assign reuses storage), so even its FIRST
