@@ -162,7 +162,9 @@ int main() {
   const gp::qp::QpProblem& problem = program.problem();
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
-  const gp::qp::AdmmSettings settings;
+  // The iteration loop alone, at 1e-6 and unpolished: a polish would fold
+  // its refactors into every per-iteration figure below.
+  const gp::qp::AdmmSettings settings{.eps_abs = 1e-6, .eps_rel = 1e-6, .polish = false};
 
   // --- 1. Full solver, once per tier on a fresh solver (no cross-tier
   //        cache reuse): a cold solve, then a warm structure-cache re-solve.

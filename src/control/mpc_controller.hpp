@@ -36,11 +36,13 @@ struct MpcSettings {
   /// Lane cap for concurrent block solves (0 = all pool lanes); results are
   /// bit-identical at any value.
   std::size_t qp_block_lanes = 0;
-  /// Underlying QP solver settings. Windows solve to 1e-4 and polish: the
-  /// polish (through the cached KKT factor) recovers the plan cost of a
-  /// tight solve — tests/test_accuracy bounds the end-to-end gap against a
-  /// 1e-8 reference — at a fraction of the iterations.
-  qp::AdmmSettings solver{.eps_abs = 1e-4, .eps_rel = 1e-4, .polish = true};
+  /// Underlying QP solver settings (exact window solve, provision_for and
+  /// the block solver's inner solves). The defaults — 1e-4 plus polish —
+  /// keep a tight solve's plan cost: tests/test_accuracy bounds the
+  /// end-to-end gap against a 1e-8 reference. Change the defaults in
+  /// AdmmSettings, not here: perfbench's traced replay builds its solvers
+  /// from AdmmSettings{} and must solve what the controller solves.
+  qp::AdmmSettings solver;
 };
 
 /// Outcome of one control period.

@@ -64,7 +64,10 @@ struct GameSettings {
   /// bit-identical at any setting — each provider has its own solver and
   /// results land by provider index.
   std::size_t num_threads = 0;
-  qp::AdmmSettings solver;
+  /// Best-response solver settings (always polished). Tighter than
+  /// AdmmSettings' 1e-4: the quota exchange runs on the capacity duals, and
+  /// its path to a stable outcome moves with their last digits.
+  qp::AdmmSettings solver{.eps_abs = 1e-6, .eps_rel = 1e-6};
 };
 
 /// Outcome of the iterative equilibrium computation.

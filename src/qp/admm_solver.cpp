@@ -60,6 +60,10 @@ SparseMatrix build_kkt_upper(const SparseMatrix& p, const SparseMatrix& a, doubl
 /// active set, the rest after correcting it (see AdmmSettings::polish).
 constexpr int kPolishPasses = 10;
 
+/// A rejected polish resumes the loop at eps times this (see
+/// AdmmSettings::polish).
+constexpr double kRejectedPolishTightening = 1e-2;
+
 /// Unscaled max-norm bound violation of the scaled row activities `ax`:
 /// the QpProblem::constraint_violation of the unscaled point.
 double bound_violation(std::span<const double> ax, const QpProblem& scaled,
@@ -338,201 +342,220 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   const std::span<const double> rhs_nu(ws.rhs.data() + n, m);
   auto& registry = obs::Registry::global();
   const bool time_spmv = registry.enabled();
-  const long long allocs_at_loop_entry = gp::alloc_probe_count();
   long long excluded_allocs = 0;
+  long long loop_allocs = 0;
   long long spmv_ns = 0;
   long long spmv_sections = 0;
 
+  // The iteration loop, from the current iterate until eps_abs/eps_rel (or
+  // a certificate, or max_iterations); run again from where it stopped when
+  // a polish is rejected.
   int iteration = 0;
-  for (; iteration < settings_.max_iterations; ++iteration) {
-    // Residual/certificate cadence, known up front: check iterations route
-    // the x and y updates through the *_delta kernels, which produce the
-    // certificate deltas as a by-product — so no previous-iterate copies
-    // are ever made.
-    const bool check = (iteration + 1) % settings_.check_interval == 0;
+  const auto iterate = [&](double eps_abs, double eps_rel) {
+    const long long allocs_at_loop_entry = gp::alloc_probe_count();
+    const long long excluded_at_loop_entry = excluded_allocs;
+    for (; iteration < settings_.max_iterations; ++iteration) {
+      // Residual/certificate cadence, known up front: check iterations route
+      // the x and y updates through the *_delta kernels, which produce the
+      // certificate deltas as a by-product — so no previous-iterate copies
+      // are ever made.
+      const bool check = (iteration + 1) % settings_.check_interval == 0;
 
-    // Build the KKT right-hand side.
-    for (std::size_t j = 0; j < n; ++j) ws.rhs[j] = settings_.sigma * x[j] - problem.q[j];
-    // The y / rho quotients feed both the rhs here and the z-candidate step
-    // below; form them once (rho only changes between iterations).
-    for (std::size_t i = 0; i < m; ++i) {
-      const double yr = y[i] / rho[i];
-      ws.y_over_rho[i] = yr;
-      ws.rhs[n + i] = ws.z[i] - yr;
-    }
-    kkt.solve_in_place(ws.rhs);
-
-    // x~ = rhs[0..n), nu = rhs[n..n+m); z~ = z + (nu - y) / rho.
-    linalg::admm_z_tilde(ws.z, rhs_nu, y, rho, ws.z_tilde);
-
-    // Over-relaxed updates (delta-producing variants on check iterations,
-    // bit-identical to the plain kernels).
-    const double alpha = settings_.alpha;
-    double delta_x_norm = 0.0;
-    if (check) {
-      delta_x_norm = linalg::axpby_delta(alpha, rhs_x, 1.0 - alpha, x, ws.delta_x);
-    } else {
-      linalg::axpby(alpha, rhs_x, 1.0 - alpha, x);
-    }
-    linalg::admm_z_candidate_cached(alpha, ws.z_tilde, ws.z, ws.y_over_rho, ws.z_candidate);
-    linalg::project_box_into(ws.z_candidate, problem.lower, problem.upper, ws.z_next);
-    double delta_y_norm = 0.0;
-    if (check) {
-      delta_y_norm = linalg::admm_dual_update_delta(rho, ws.z_candidate, ws.z_next, y,
-                                                    ws.delta_y);
-    } else {
-      linalg::admm_dual_update(rho, ws.z_candidate, ws.z_next, y);
-    }
-    std::swap(ws.z, ws.z_next);
-
-    if (!check) continue;
-
-    // --- Residuals in UNSCALED quantities, via the SELL mirrors. ---
-    std::chrono::steady_clock::time_point spmv_start{};
-    if (time_spmv) spmv_start = std::chrono::steady_clock::now();
-    a_sell_.multiply_into(1.0, x, ws.ax);
-    std::fill(ws.px.begin(), ws.px.end(), 0.0);
-    problem.p.multiply_accumulate(1.0, x, ws.px);
-    at_sell_.multiply_into(1.0, y, ws.aty);
-    if (time_spmv) {
-      spmv_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - spmv_start)
-                     .count();
-      ++spmv_sections;
-    }
-
-    // One pass over the rows and one over the columns; bitwise equal to the
-    // separate per-array reductions (max is exact, scaling is monotone).
-    double prim_res = 0.0, prim_norm = 0.0;
-    linalg::inf_norm_scaled_residual(ws.ax, ws.z, ws.inv_e, prim_res, prim_norm);
-    double dual_res = 0.0, dual_norm = 0.0;
-    linalg::inf_norm_scaled_residual3(ws.px, problem.q, ws.aty, ws.inv_d, inv_c, dual_res,
-                                      dual_norm);
-
-    const double eps_prim = settings_.eps_abs + settings_.eps_rel * prim_norm;
-    const double eps_dual = settings_.eps_abs + settings_.eps_rel * dual_norm;
-    result.primal_residual = prim_res;
-    result.dual_residual = dual_res;
-    if (obs::tracing_enabled()) {
-      // Residual trajectories, sampled at the check cadence (counter events
-      // in the trace; concurrent best responses interleave by timestamp).
-      // Trace emission allocates by design; keep it out of the hot-loop
-      // allocation accounting.
-      const long long trace_allocs_before = gp::alloc_probe_count();
-      obs::Tracer::global().counter("admm.primal_residual", prim_res);
-      obs::Tracer::global().counter("admm.dual_residual", dual_res);
-      excluded_allocs += gp::alloc_probe_count() - trace_allocs_before;
-    }
-    if (obs::recording_enabled()) {
-      // Flight-recorder sample at the check cadence. push() itself is
-      // allocation-free; only the thread's FIRST recorded sample allocates
-      // the ring (a recorder cost, not an iteration cost — excluded).
-      const long long record_allocs_before = gp::alloc_probe_count();
-      obs::ConvergenceRecorder::local().push("admm.residual", iteration + 1, prim_res,
-                                             dual_res, rho.empty() ? 0.0 : rho[0]);
-      excluded_allocs += gp::alloc_probe_count() - record_allocs_before;
-    }
-
-    if (prim_res <= eps_prim && dual_res <= eps_dual) {
-      result.status = SolveStatus::kOptimal;
-      ++iteration;
-      break;
-    }
-
-    // --- Infeasibility certificates (on scaled deltas, normalized; the
-    // deltas and their norms came out of the *_delta update kernels). ---
-    if (delta_y_norm > settings_.eps_infeasible) {
-      at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
-      double support = 0.0;
-      bool valid = true;
+      // Build the KKT right-hand side.
+      for (std::size_t j = 0; j < n; ++j) ws.rhs[j] = settings_.sigma * x[j] - problem.q[j];
+      // The y / rho quotients feed both the rhs here and the z-candidate step
+      // below; form them once (rho only changes between iterations).
       for (std::size_t i = 0; i < m; ++i) {
-        const double dy = ws.delta_y[i];
-        if (dy > 0) {
-          if (problem.upper[i] == kInfinity) { valid = false; break; }
-          support += problem.upper[i] * dy;
-        } else if (dy < 0) {
-          if (problem.lower[i] == -kInfinity) { valid = false; break; }
-          support += problem.lower[i] * dy;
-        }
+        const double yr = y[i] / rho[i];
+        ws.y_over_rho[i] = yr;
+        ws.rhs[n + i] = ws.z[i] - yr;
       }
-      if (valid && linalg::norm_inf(ws.at_dy) <= settings_.eps_infeasible * delta_y_norm &&
-          support <= -settings_.eps_infeasible * delta_y_norm) {
-        result.status = SolveStatus::kPrimalInfeasible;
+      kkt.solve_in_place(ws.rhs);
+
+      // x~ = rhs[0..n), nu = rhs[n..n+m); z~ = z + (nu - y) / rho.
+      linalg::admm_z_tilde(ws.z, rhs_nu, y, rho, ws.z_tilde);
+
+      // Over-relaxed updates (delta-producing variants on check iterations,
+      // bit-identical to the plain kernels).
+      const double alpha = settings_.alpha;
+      double delta_x_norm = 0.0;
+      if (check) {
+        delta_x_norm = linalg::axpby_delta(alpha, rhs_x, 1.0 - alpha, x, ws.delta_x);
+      } else {
+        linalg::axpby(alpha, rhs_x, 1.0 - alpha, x);
+      }
+      linalg::admm_z_candidate_cached(alpha, ws.z_tilde, ws.z, ws.y_over_rho, ws.z_candidate);
+      linalg::project_box_into(ws.z_candidate, problem.lower, problem.upper, ws.z_next);
+      double delta_y_norm = 0.0;
+      if (check) {
+        delta_y_norm = linalg::admm_dual_update_delta(rho, ws.z_candidate, ws.z_next, y,
+                                                      ws.delta_y);
+      } else {
+        linalg::admm_dual_update(rho, ws.z_candidate, ws.z_next, y);
+      }
+      std::swap(ws.z, ws.z_next);
+
+      if (!check) continue;
+
+      // --- Residuals in UNSCALED quantities, via the SELL mirrors. ---
+      std::chrono::steady_clock::time_point spmv_start{};
+      if (time_spmv) spmv_start = std::chrono::steady_clock::now();
+      a_sell_.multiply_into(1.0, x, ws.ax);
+      std::fill(ws.px.begin(), ws.px.end(), 0.0);
+      problem.p.multiply_accumulate(1.0, x, ws.px);
+      at_sell_.multiply_into(1.0, y, ws.aty);
+      if (time_spmv) {
+        spmv_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::steady_clock::now() - spmv_start)
+                       .count();
+        ++spmv_sections;
+      }
+
+      // One pass over the rows and one over the columns; bitwise equal to the
+      // separate per-array reductions (max is exact, scaling is monotone).
+      double prim_res = 0.0, prim_norm = 0.0;
+      linalg::inf_norm_scaled_residual(ws.ax, ws.z, ws.inv_e, prim_res, prim_norm);
+      double dual_res = 0.0, dual_norm = 0.0;
+      linalg::inf_norm_scaled_residual3(ws.px, problem.q, ws.aty, ws.inv_d, inv_c, dual_res,
+                                        dual_norm);
+
+      const double eps_prim = eps_abs + eps_rel * prim_norm;
+      const double eps_dual = eps_abs + eps_rel * dual_norm;
+      result.primal_residual = prim_res;
+      result.dual_residual = dual_res;
+      if (obs::tracing_enabled()) {
+        // Residual trajectories, sampled at the check cadence (counter events
+        // in the trace; concurrent best responses interleave by timestamp).
+        // Trace emission allocates by design; keep it out of the hot-loop
+        // allocation accounting.
+        const long long trace_allocs_before = gp::alloc_probe_count();
+        obs::Tracer::global().counter("admm.primal_residual", prim_res);
+        obs::Tracer::global().counter("admm.dual_residual", dual_res);
+        excluded_allocs += gp::alloc_probe_count() - trace_allocs_before;
+      }
+      if (obs::recording_enabled()) {
+        // Flight-recorder sample at the check cadence. push() itself is
+        // allocation-free; only the thread's FIRST recorded sample allocates
+        // the ring (a recorder cost, not an iteration cost — excluded).
+        const long long record_allocs_before = gp::alloc_probe_count();
+        obs::ConvergenceRecorder::local().push("admm.residual", iteration + 1, prim_res,
+                                               dual_res, rho.empty() ? 0.0 : rho[0]);
+        excluded_allocs += gp::alloc_probe_count() - record_allocs_before;
+      }
+
+      if (prim_res <= eps_prim && dual_res <= eps_dual) {
+        result.status = SolveStatus::kOptimal;
         ++iteration;
         break;
       }
-    }
-    if (delta_x_norm > settings_.eps_infeasible) {
-      std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
-      problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
-      a_sell_.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      const double q_dx = linalg::dot(problem.q, ws.delta_x);
-      bool certificate = linalg::norm_inf(ws.p_dx) <= settings_.eps_infeasible * delta_x_norm &&
-                         q_dx <= -settings_.eps_infeasible * delta_x_norm;
-      if (certificate) {
-        for (std::size_t i = 0; i < m && certificate; ++i) {
-          const double v = ws.a_dx[i];
-          if (problem.upper[i] != kInfinity && v > settings_.eps_infeasible * delta_x_norm) {
-            certificate = false;
-          }
-          if (problem.lower[i] != -kInfinity && v < -settings_.eps_infeasible * delta_x_norm) {
-            certificate = false;
+
+      // --- Infeasibility certificates (on scaled deltas, normalized; the
+      // deltas and their norms came out of the *_delta update kernels). ---
+      if (delta_y_norm > settings_.eps_infeasible) {
+        at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
+        double support = 0.0;
+        bool valid = true;
+        for (std::size_t i = 0; i < m; ++i) {
+          const double dy = ws.delta_y[i];
+          if (dy > 0) {
+            if (problem.upper[i] == kInfinity) { valid = false; break; }
+            support += problem.upper[i] * dy;
+          } else if (dy < 0) {
+            if (problem.lower[i] == -kInfinity) { valid = false; break; }
+            support += problem.lower[i] * dy;
           }
         }
-        if (certificate) {
-          result.status = SolveStatus::kDualInfeasible;
+        if (valid && linalg::norm_inf(ws.at_dy) <= settings_.eps_infeasible * delta_y_norm &&
+            support <= -settings_.eps_infeasible * delta_y_norm) {
+          result.status = SolveStatus::kPrimalInfeasible;
           ++iteration;
           break;
         }
       }
-    }
+      if (delta_x_norm > settings_.eps_infeasible) {
+        std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
+        problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
+        a_sell_.multiply_into(1.0, ws.delta_x, ws.a_dx);
+        const double q_dx = linalg::dot(problem.q, ws.delta_x);
+        bool certificate = linalg::norm_inf(ws.p_dx) <= settings_.eps_infeasible * delta_x_norm &&
+                           q_dx <= -settings_.eps_infeasible * delta_x_norm;
+        if (certificate) {
+          for (std::size_t i = 0; i < m && certificate; ++i) {
+            const double v = ws.a_dx[i];
+            if (problem.upper[i] != kInfinity && v > settings_.eps_infeasible * delta_x_norm) {
+              certificate = false;
+            }
+            if (problem.lower[i] != -kInfinity && v < -settings_.eps_infeasible * delta_x_norm) {
+              certificate = false;
+            }
+          }
+          if (certificate) {
+            result.status = SolveStatus::kDualInfeasible;
+            ++iteration;
+            break;
+          }
+        }
+      }
 
-    // --- Adaptive rho. ---
-    if (settings_.adaptive_rho && (iteration + 1) % settings_.adaptive_rho_interval == 0) {
-      const double prim_ratio = prim_res / std::max(prim_norm, 1e-10);
-      const double dual_ratio = dual_res / std::max(dual_norm, 1e-10);
-      const double factor = std::sqrt(prim_ratio / std::max(dual_ratio, 1e-10));
-      if (factor > settings_.adaptive_rho_tolerance ||
-          factor < 1.0 / settings_.adaptive_rho_tolerance) {
-        const double rho_before = rho.empty() ? 0.0 : rho[0];
-        for (std::size_t i = 0; i < m; ++i) {
-          rho[i] = std::min(std::max(rho[i] * factor, 1e-6), 1e6);
-        }
-        if (obs::recording_enabled()) {
-          const long long record_allocs_before = gp::alloc_probe_count();
-          obs::ConvergenceRecorder::local().push("admm.rho", iteration + 1, rho_before,
-                                                 rho.empty() ? 0.0 : rho[0], factor);
-          excluded_allocs += gp::alloc_probe_count() - record_allocs_before;
-        }
-        // Rewrite the -1/rho diagonal of the cached KKT upper triangle in
-        // place: the diagonal of column n+i is its LAST entry (all A^T-block
-        // rows in that column are < n), so no triplet reassembly is needed.
-        const auto kkt_col_ptr = kkt_upper_.col_ptr();
-        const std::span<double> kkt_values = kkt_upper_.mutable_values();
-        for (std::size_t i = 0; i < m; ++i) {
-          kkt_values[static_cast<std::size_t>(kkt_col_ptr[n + i + 1]) - 1] = -1.0 / rho[i];
-        }
-        ++cache_stats_.refactorizations;
-        ++result.info.factorizations;
-        // Same pattern: the refactorization copies values through the
-        // factor's permutation map into kept scratch, allocation-free.
-        if (kkt.refactor(kkt_upper_) != SparseLdlt::Status::kOk) {
-          result.status = SolveStatus::kNumericalError;
-          break;
+      // --- Adaptive rho. ---
+      if (settings_.adaptive_rho && (iteration + 1) % settings_.adaptive_rho_interval == 0) {
+        const double prim_ratio = prim_res / std::max(prim_norm, 1e-10);
+        const double dual_ratio = dual_res / std::max(dual_norm, 1e-10);
+        const double factor = std::sqrt(prim_ratio / std::max(dual_ratio, 1e-10));
+        if (factor > settings_.adaptive_rho_tolerance ||
+            factor < 1.0 / settings_.adaptive_rho_tolerance) {
+          const double rho_before = rho.empty() ? 0.0 : rho[0];
+          for (std::size_t i = 0; i < m; ++i) {
+            rho[i] = std::min(std::max(rho[i] * factor, 1e-6), 1e6);
+          }
+          if (obs::recording_enabled()) {
+            const long long record_allocs_before = gp::alloc_probe_count();
+            obs::ConvergenceRecorder::local().push("admm.rho", iteration + 1, rho_before,
+                                                   rho.empty() ? 0.0 : rho[0], factor);
+            excluded_allocs += gp::alloc_probe_count() - record_allocs_before;
+          }
+          // Rewrite the -1/rho diagonal of the cached KKT upper triangle in
+          // place: the diagonal of column n+i is its LAST entry (all A^T-block
+          // rows in that column are < n), so no triplet reassembly is needed.
+          const auto kkt_col_ptr = kkt_upper_.col_ptr();
+          const std::span<double> kkt_values = kkt_upper_.mutable_values();
+          for (std::size_t i = 0; i < m; ++i) {
+            kkt_values[static_cast<std::size_t>(kkt_col_ptr[n + i + 1]) - 1] = -1.0 / rho[i];
+          }
+          ++cache_stats_.refactorizations;
+          ++result.info.factorizations;
+          // Same pattern: the refactorization copies values through the
+          // factor's permutation map into kept scratch, allocation-free.
+          if (kkt.refactor(kkt_upper_) != SparseLdlt::Status::kOk) {
+            result.status = SolveStatus::kNumericalError;
+            break;
+          }
         }
       }
     }
-  }
 
-  result.iterations = iteration;
-  long long loop_allocs = gp::alloc_probe_count() - allocs_at_loop_entry - excluded_allocs;
+    loop_allocs += gp::alloc_probe_count() - allocs_at_loop_entry -
+                   (excluded_allocs - excluded_at_loop_entry);
+  };
+
+  iterate(settings_.eps_abs, settings_.eps_rel);
   bool polished = false;
   if (settings_.polish && result.status == SolveStatus::kOptimal) {
-    obs::Span polish_span("admm.polish");
-    const long long allocs_at_polish = gp::alloc_probe_count();
-    polished = polish(original, problem, scaling, result);
-    loop_allocs += gp::alloc_probe_count() - allocs_at_polish;
+    {
+      obs::Span polish_span("admm.polish");
+      const long long allocs_at_polish = gp::alloc_probe_count();
+      polished = polish(original, problem, scaling, result);
+      loop_allocs += gp::alloc_probe_count() - allocs_at_polish;
+    }
+    if (!polished && iteration < settings_.max_iterations) {
+      // The loose iterate stands alone: carry it on to a tighter stop (the
+      // restored factor is the loop's, bit for bit).
+      result.status = SolveStatus::kMaxIterations;
+      iterate(settings_.eps_abs * kRejectedPolishTightening,
+              settings_.eps_rel * kRejectedPolishTightening);
+    }
   }
+  result.iterations = iteration;
   result.info.hot_loop_allocations = loop_allocs;
   result.info.residual_spmv_ns = spmv_ns;
   if (time_spmv && spmv_ns > 0 && spmv_sections > 0) {

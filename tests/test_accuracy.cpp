@@ -1,9 +1,11 @@
 // End-to-end cost-gap gate for the MPC window solver's default accuracy.
 //
 // The MPC controller solves each window to 1e-4 and polishes the result
-// (control::MpcSettings::solver). These tests run the same closed-loop day
-// twice — once with those defaults and once with a tight reference solver
-// (1e-8 + polish) — and bound what the looser solve costs end to end:
+// (qp::AdmmSettings' defaults, which control::MpcSettings::solver takes).
+// These tests run the same closed-loop day twice — once with those defaults
+// and once with a tight reference window solver (1e-8 + polish; both days
+// provision x_0 with the engine's default solver) — and bound what the
+// looser solve costs end to end:
 //
 //   |total_cost - reference| / reference <= 1e-4
 //   sla_compliance >= reference - 1e-4
@@ -11,7 +13,11 @@
 //
 // A window-level companion pins the polish itself on a real paper_full
 // window with binding capacity: the 1e-4 polished solve reproduces a 1e-8
-// solve's objective and capacity duals.
+// solve's objective and capacity duals. A third covers the solves without
+// a quadratic term (the single-period placement LP behind the engine's
+// initial provisioning and the static/reactive baselines), where the
+// polish can be rejected at a degenerate vertex and the solver must carry
+// the loose iterate on to a tighter stop.
 //
 // Label: accuracy.
 #include <gtest/gtest.h>
@@ -23,6 +29,7 @@
 #include <utility>
 
 #include "control/mpc_controller.hpp"
+#include "dspp/provisioning.hpp"
 #include "dspp/window_program.hpp"
 #include "linalg/vector_ops.hpp"
 #include "scenario/policy.hpp"
@@ -105,6 +112,7 @@ TEST(AccuracyGate, PolishedWindowMatchesTightSolve) {
   qp::AdmmSettings tight;
   tight.eps_abs = 1e-8;
   tight.eps_rel = 1e-8;
+  tight.polish = false;  // the raw tight iterate is the reference
   const qp::AdmmSettings shipped = control::MpcSettings{}.solver;
 
   // Cap the busiest data center below its unconstrained peak so capacity
@@ -155,6 +163,33 @@ TEST(AccuracyGate, PolishedWindowMatchesTightSolve) {
                   1e-4 * largest_dual)
           << "t=" << t << " l=" << l;
     }
+  }
+}
+
+TEST(AccuracyGate, PlacementLpMatchesTightSolve) {
+  const scenario::ScenarioSpec spec = scenario::preset("paper_full");
+  const scenario::ScenarioBundle bundle = scenario::build(spec);
+  const dspp::PairIndex pairs(bundle.model);
+  qp::AdmmSettings tight;
+  tight.eps_abs = 1e-9;
+  tight.eps_rel = 1e-9;
+  qp::AdmmSolver shipped_solver;
+  qp::AdmmSolver tight_solver(tight);
+  for (int hour = 0; hour < 24; ++hour) {
+    const linalg::Vector demand = bundle.demand.mean_rates(hour);
+    const linalg::Vector price = bundle.prices.server_prices(hour);
+    const linalg::Vector shipped =
+        dspp::min_cost_placement(bundle.model, pairs, demand, price, shipped_solver);
+    const linalg::Vector reference =
+        dspp::min_cost_placement(bundle.model, pairs, demand, price, tight_solver);
+    // Rental cost of each placement: sum over pairs of price(l) x servers.
+    double shipped_cost = 0.0, reference_cost = 0.0;
+    for (std::size_t pair = 0; pair < pairs.num_pairs(); ++pair) {
+      const double p = price[pairs.datacenter_of(pair)];
+      shipped_cost += p * shipped[pair];
+      reference_cost += p * reference[pair];
+    }
+    EXPECT_LE(std::abs(shipped_cost - reference_cost), 1e-5 * reference_cost) << "hour " << hour;
   }
 }
 

@@ -23,7 +23,8 @@ using linalg::Triplet;
 using linalg::Vector;
 
 TEST(Scaling, SolutionsMatchWithAndWithoutEquilibration) {
-  // Ruiz equilibration changes the iterates, not the answer.
+  // Ruiz equilibration changes the iterates, not the answer. Compares the
+  // ADMM iterates themselves, so polish is off.
   qp::QpProblem problem;
   problem.p = SparseMatrix::diagonal(Vector{2e4, 2e-3});
   problem.q = {-1e4, 1e-3};
@@ -32,7 +33,8 @@ TEST(Scaling, SolutionsMatchWithAndWithoutEquilibration) {
   problem.upper = {1e3, 5.0};
   qp::AdmmSettings scaled_settings;
   scaled_settings.scale_problem = true;
-  qp::AdmmSettings raw_settings;
+  scaled_settings.polish = false;
+  qp::AdmmSettings raw_settings = scaled_settings;
   raw_settings.scale_problem = false;
   raw_settings.max_iterations = 100000;
   qp::AdmmSolver scaled(scaled_settings);

@@ -503,6 +503,7 @@ TEST(SolveInfoTest, AdmmPopulatesFactorizationAndCacheFields) {
 
   gp::qp::AdmmSettings settings;
   settings.cache_structure = true;
+  settings.polish = false;  // a polish refactors twice per solve
   gp::qp::AdmmSolver solver(settings);
 
   const auto first = solver.solve(problem);

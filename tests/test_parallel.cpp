@@ -495,7 +495,10 @@ TEST(AdmmCache, SkipsFactorizationWhenProblemUnchanged) {
   const dspp::PairIndex pairs(provider.model);
   dspp::WindowProgram program(provider.model, pairs, inputs_for(provider));
 
-  qp::AdmmSolver solver;  // cache_structure defaults to true
+  // cache_structure defaults to true. The raw 1e-6 iterate, unpolished: a
+  // polish's refactor-and-restore pair would count in info.factorizations
+  // (AdmmHotLoop.PolishedWarmResolveMakesZeroHeapAllocations covers it).
+  qp::AdmmSolver solver(qp::AdmmSettings{.eps_abs = 1e-6, .eps_rel = 1e-6, .polish = false});
   const qp::QpResult first = solver.solve(program.problem());
   const qp::QpResult second = solver.solve(program.problem());
   ASSERT_TRUE(first.ok());

@@ -352,9 +352,10 @@ TEST(Admm, WarmStartCutsIterations) {
 TEST(Admm, AutoWarmStartAcrossPerturbedProblems) {
   // Receding-horizon pattern: re-solve with slightly shifted bounds. The
   // second solve must start from the cached iterate and finish faster.
+  // Counts the raw 1e-6 loop's iterations, so polish is off.
   Rng rng(2025);
   QpProblem problem = random_feasible_qp(12, 10, rng);
-  AdmmSettings settings;
+  AdmmSettings settings{.eps_abs = 1e-6, .eps_rel = 1e-6, .polish = false};
   settings.auto_warm_start = true;
   AdmmSolver solver(settings);
   const QpResult first = solver.solve(problem);
@@ -384,6 +385,7 @@ TEST(Admm, PolishSharpensKktResiduals) {
   AdmmSettings loose;
   loose.eps_abs = 1e-4;
   loose.eps_rel = 1e-4;
+  loose.polish = false;
   AdmmSettings polished_settings = loose;
   polished_settings.polish = true;
   for (int trial = 0; trial < 5; ++trial) {
